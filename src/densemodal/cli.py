@@ -3,6 +3,8 @@
 Exit codes: 0 the question was answered (the verdict is on stdout), 64
 usage error, 65 parse error, 70 a runtime self-check failed.  Verdicts
 never map to nonzero exit codes, so scripts can tell UNSAT from failure.
+Formulas nested deeper than formula.MAX_DEPTH (176) levels are parse
+errors, so deep input exits 65 instead of overflowing the stack.
 """
 
 from __future__ import annotations

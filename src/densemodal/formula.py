@@ -11,9 +11,8 @@ a bare "[]"/"<>" for them in unimodal mode.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Iterator
 
 MOD_A = "a"
 MOD_B = "b"
@@ -32,41 +31,120 @@ class ParseError(Exception):
 
 
 class Formula:
+    """Base of the five core node kinds.
+
+    Each node computes three values once, at construction, from its
+    children's stored values: its hash, its sort key and its modal degree.
+    Set and dict operations therefore never walk the tree.  Equality is
+    structural: two nodes are equal exactly when their sort keys are, and
+    the keys are nested tuples that spell out the whole tree.  The stored
+    values take no part in repr.
+    """
+
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self.sort_key == other.sort_key
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickles rebuild through the constructor: string hashes, and with
+        # them every stored hash, differ between processes.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _stored():
+    return field(init=False, repr=False)
+
+
+# Nodes are frozen, so their constructors store fields through object's
+# own __setattr__.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
     name: str
+    sort_key: tuple = _stored()
+    degree: int = _stored()
+    _hash: int = _stored()
+
+    def __init__(self, name: str) -> None:
+        key = (1, name)
+        _set(self, "name", name)
+        _set(self, "sort_key", key)
+        _set(self, "degree", 0)
+        _set(self, "_hash", hash(key))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Falsum(Formula):
-    pass
+    sort_key: tuple = _stored()
+    degree: int = _stored()
+    _hash: int = _stored()
+
+    def __init__(self) -> None:
+        _set(self, "sort_key", (0,))
+        _set(self, "degree", 0)
+        _set(self, "_hash", hash((0,)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Formula):
     child: Formula
+    sort_key: tuple = _stored()
+    degree: int = _stored()
+    _hash: int = _stored()
+
+    def __init__(self, child: Formula) -> None:
+        _set(self, "child", child)
+        _set(self, "sort_key", (2, child.sort_key))
+        _set(self, "degree", child.degree)
+        _set(self, "_hash", hash((2, child._hash)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
+    sort_key: tuple = _stored()
+    degree: int = _stored()
+    _hash: int = _stored()
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "sort_key", (3, left.sort_key, right.sort_key))
+        ld, rd = left.degree, right.degree
+        _set(self, "degree", ld if ld > rd else rd)
+        _set(self, "_hash", hash((3, left._hash, right._hash)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Box(Formula):
     modality: str
     child: Formula
+    sort_key: tuple = _stored()
+    degree: int = _stored()
+    _hash: int = _stored()
 
-    def __post_init__(self) -> None:
-        if self.modality not in (MOD_A, MOD_B):
-            raise ValueError(f"unknown modality {self.modality!r}")
+    def __init__(self, modality: str, child: Formula) -> None:
+        if modality not in (MOD_A, MOD_B):
+            raise ValueError(f"unknown modality {modality!r}")
+        _set(self, "modality", modality)
+        _set(self, "child", child)
+        _set(self, "sort_key", (4, modality, child.sort_key))
+        _set(self, "degree", 1 + child.degree)
+        _set(self, "_hash", hash((4, modality, child._hash)))
 
 
 FALSUM = Falsum()
@@ -88,79 +166,53 @@ def diamond(modality: str, child: Formula) -> Formula:
     return Not(Box(modality, Not(child)))
 
 
-@lru_cache(maxsize=None)
 def sort_key(phi: Formula) -> tuple:
-    """Total structural order on formulas.
+    """Total structural order on formulas, stored on each node.
 
     Every enumeration in the package iterates formulas in this order, so
     results are reproducible across processes regardless of hash seeding.
     """
-    if isinstance(phi, Falsum):
-        return (0,)
-    if isinstance(phi, Atom):
-        return (1, phi.name)
-    if isinstance(phi, Not):
-        return (2, sort_key(phi.child))
-    if isinstance(phi, And):
-        return (3, sort_key(phi.left), sort_key(phi.right))
-    return (4, phi.modality, sort_key(phi.child))
+    return phi.sort_key
 
 
 def sorted_formulas(formulas: Iterable[Formula]) -> list[Formula]:
     return sorted(formulas, key=sort_key)
 
 
-@lru_cache(maxsize=None)
 def degree(phi: Formula) -> int:
-    """Maximum box-nesting depth."""
-    if isinstance(phi, (Atom, Falsum)):
-        return 0
-    if isinstance(phi, Not):
-        return degree(phi.child)
-    if isinstance(phi, And):
-        return max(degree(phi.left), degree(phi.right))
-    return 1 + degree(phi.child)
+    """Maximum box-nesting depth, stored on each node."""
+    return phi.degree
 
 
-@lru_cache(maxsize=None)
+def _nodes(phi: Formula) -> Iterator[Formula]:
+    """Every node of the tree, shared subtrees once per occurrence."""
+    todo = [phi]
+    while todo:
+        f = todo.pop()
+        yield f
+        if isinstance(f, And):
+            todo.append(f.right)
+            todo.append(f.left)
+        elif isinstance(f, (Not, Box)):
+            todo.append(f.child)
+
+
 def size(phi: Formula) -> int:
     """Number of AST nodes; parentheses and modality indices do not count."""
-    if isinstance(phi, (Atom, Falsum)):
-        return 1
-    if isinstance(phi, Not):
-        return 1 + size(phi.child)
-    if isinstance(phi, And):
-        return 1 + size(phi.left) + size(phi.right)
-    return 1 + size(phi.child)
+    return sum(1 for _ in _nodes(phi))
 
 
 def measures(phi: Formula) -> tuple[int, int]:
     return degree(phi), size(phi)
 
 
-@lru_cache(maxsize=None)
 def atom_names(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Atom):
-        return frozenset((phi.name,))
-    if isinstance(phi, Falsum):
-        return frozenset()
-    if isinstance(phi, Not):
-        return atom_names(phi.child)
-    if isinstance(phi, And):
-        return atom_names(phi.left) | atom_names(phi.right)
-    return atom_names(phi.child)
+    return frozenset(f.name for f in _nodes(phi) if isinstance(f, Atom))
 
 
-@lru_cache(maxsize=None)
 def is_unimodal(phi: Formula) -> bool:
     """True when no b-indexed box occurs anywhere in the tree."""
-    if isinstance(phi, (Atom, Falsum)):
-        return True
-    if isinstance(phi, Not):
-        return is_unimodal(phi.child)
-    if isinstance(phi, And):
-        return is_unimodal(phi.left) and is_unimodal(phi.right)
-    return phi.modality == MOD_A and is_unimodal(phi.child)
+    return not any(isinstance(f, Box) and f.modality != MOD_A for f in _nodes(phi))
 
 
 def set_degree(formulas: Iterable[Formula]) -> int:
@@ -239,6 +291,14 @@ _TOKEN_RE = re.compile(
 
 _UNARY_TOKENS = {"~", "[]", "<>", "[a]", "[b]", "<a>", "<b>"}
 
+# Deepest nesting the parser accepts: every unary operator, every opening
+# parenthesis and every binary operator on the right spine of a chain
+# counts one level.  This is the largest depth at which the CLI's
+# translate, oracle and kde commands answer every nesting shape with 100
+# frames of caller stack to spare under the default recursion limit of
+# 1000; nested parentheses, at five parser frames a level, set it.
+MAX_DEPTH = 176
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -297,14 +357,19 @@ def parse(text: str, mode: str = UNIMODAL) -> Formula:
             return Box(modality, child)
         return diamond(modality, child)
 
-    def parse_unary() -> Formula:
+    def deeper(depth: int, pos: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", pos)
+        return depth + 1
+
+    def parse_unary(depth: int) -> Formula:
         kind, _, pos = peek()
         if kind in _UNARY_TOKENS:
             advance()
-            return unary_node(kind, pos, parse_unary())
-        return parse_primary()
+            return unary_node(kind, pos, parse_unary(deeper(depth, pos)))
+        return parse_primary(depth)
 
-    def parse_primary() -> Formula:
+    def parse_primary(depth: int) -> Formula:
         kind, word, pos = advance()
         if kind == "atom":
             return Atom(word)
@@ -313,35 +378,38 @@ def parse(text: str, mode: str = UNIMODAL) -> Formula:
         if kind == "true":
             return Not(FALSUM)
         if kind == "(":
-            inner = parse_implies()
+            inner = parse_implies(deeper(depth, pos))
             closing, _, cpos = advance()
             if closing != ")":
                 raise ParseError("expected ')'", cpos)
             return inner
         raise ParseError("expected a formula", pos)
 
-    def parse_and() -> Formula:
-        left = parse_unary()
-        if peek()[0] == "&":
+    def parse_and(depth: int) -> Formula:
+        left = parse_unary(depth)
+        kind, _, pos = peek()
+        if kind == "&":
             advance()
-            return And(left, parse_and())
+            return And(left, parse_and(deeper(depth, pos)))
         return left
 
-    def parse_or() -> Formula:
-        left = parse_and()
-        if peek()[0] == "|":
+    def parse_or(depth: int) -> Formula:
+        left = parse_and(depth)
+        kind, _, pos = peek()
+        if kind == "|":
             advance()
-            return lor(left, parse_or())
+            return lor(left, parse_or(deeper(depth, pos)))
         return left
 
-    def parse_implies() -> Formula:
-        left = parse_or()
-        if peek()[0] == "->":
+    def parse_implies(depth: int) -> Formula:
+        left = parse_or(depth)
+        kind, _, pos = peek()
+        if kind == "->":
             advance()
-            return implies(left, parse_implies())
+            return implies(left, parse_implies(deeper(depth, pos)))
         return left
 
-    result = parse_implies()
+    result = parse_implies(0)
     kind, word, pos = peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {word!r}", pos)

@@ -22,7 +22,6 @@ saturations at all; callers treat the empty stream as the failed branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .formula import And, FALSUM, Falsum, Formula, Not, csf, set_degree, sort_key
@@ -108,9 +107,12 @@ def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
         stack.extend(reversed(successors))
 
 
-@lru_cache(maxsize=None)
 def saturation_family(seed: frozenset[Formula]) -> tuple[Saturation, ...]:
-    """Materialized, cached form of saturations(); hot paths go through here."""
+    """Every saturation of the seed, in the order saturations() yields them.
+
+    Nothing is cached across calls; the kdeab search keeps its own
+    per-solve memo of satisfiable member sets and window continuations.
+    """
     return tuple(saturations(seed))
 
 

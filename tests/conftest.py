@@ -23,3 +23,15 @@ def random_formula(rng: random.Random, budget: int, names, modalities=(MOD_A,), 
         random_formula(rng, split, names, modalities, falsum_rate),
         random_formula(rng, budget - 1 - split, names, modalities, falsum_rate),
     )
+
+
+# Formula texts nested d levels deep, one per way the parser counts a level.
+NESTINGS = {
+    "negation": lambda d: "~" * d + "p",
+    "box": lambda d: "[]" * d + "p",
+    "diamond": lambda d: "<>" * d + "p",
+    "parentheses": lambda d: "(" * d + "p" + ")" * d,
+    "conjunction": lambda d: " & ".join(["p"] * (d + 1)),
+    "disjunction": lambda d: " | ".join(["p"] * (d + 1)),
+    "implication": lambda d: " -> ".join(["p"] * (d + 1)),
+}

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
 from densemodal import is_dense, is_weakly_dense, model_check, model_from_json, parse
 from densemodal.cli import main
+from densemodal.formula import MAX_DEPTH
+from conftest import NESTINGS
 
 
 def run(capsys, *argv):
@@ -152,3 +156,26 @@ class TestExitCodes:
     def test_missing_flag_is_64(self, capsys):
         code, _, _ = run(capsys, "solve", "--mode", "sat", "p")
         assert code == 64
+
+
+DEEP_COMMANDS = {
+    "translate": ["translate"],
+    "oracle": ["oracle", "--max-worlds", "1"],
+    "kde": ["solve", "--logic", "kde", "--mode", "sat"],
+}
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("shape", sorted(NESTINGS))
+    @pytest.mark.parametrize("command", sorted(DEEP_COMMANDS))
+    def test_max_depth_answers_and_one_more_is_a_parse_error(self, capsys, command, shape):
+        argv = DEEP_COMMANDS[command]
+        code, out, err = run(capsys, *argv, NESTINGS[shape](MAX_DEPTH))
+        if command == "kde" and shape in ("box", "diamond"):
+            # One free bit per box: the kde guard refuses these cleanly.
+            assert code == 64 and "free bits exceed" in err
+        else:
+            assert code == 0 and out and not err
+        code, out, err = run(capsys, *argv, NESTINGS[shape](MAX_DEPTH + 1))
+        assert code == 65 and not out
+        assert f"deeper than {MAX_DEPTH} levels" in err

@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -8,22 +12,27 @@ from densemodal import (
     BIMODAL,
     Box,
     FALSUM,
+    Falsum,
     MOD_A,
     MOD_B,
     Not,
     ParseError,
     UNIMODAL,
     all_formulas,
+    atom_names,
     box_inverse,
     csf,
     degree,
+    is_unimodal,
     measures,
     parse,
     render,
     sf,
     size,
+    sort_key,
 )
-from conftest import random_formula
+from densemodal.formula import MAX_DEPTH
+from conftest import NESTINGS, random_formula
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -221,3 +230,180 @@ class TestAllFormulas:
         assert len(fs) == len(set(fs))
         sizes = [size(f) for f in fs]
         assert sizes == sorted(sizes)
+
+
+# --------------------------------------------------------------------------
+# Reference versions of the measures: the recursive definitions, computed
+# from the tree on every call.  The package stores sort key and degree on
+# each node and walks the tree iteratively for the others.
+
+
+def ref_sort_key(phi):
+    if isinstance(phi, Falsum):
+        return (0,)
+    if isinstance(phi, Atom):
+        return (1, phi.name)
+    if isinstance(phi, Not):
+        return (2, ref_sort_key(phi.child))
+    if isinstance(phi, And):
+        return (3, ref_sort_key(phi.left), ref_sort_key(phi.right))
+    return (4, phi.modality, ref_sort_key(phi.child))
+
+
+def ref_degree(phi):
+    if isinstance(phi, (Atom, Falsum)):
+        return 0
+    if isinstance(phi, Not):
+        return ref_degree(phi.child)
+    if isinstance(phi, And):
+        return max(ref_degree(phi.left), ref_degree(phi.right))
+    return 1 + ref_degree(phi.child)
+
+
+def ref_size(phi):
+    if isinstance(phi, (Atom, Falsum)):
+        return 1
+    if isinstance(phi, Not):
+        return 1 + ref_size(phi.child)
+    if isinstance(phi, And):
+        return 1 + ref_size(phi.left) + ref_size(phi.right)
+    return 1 + ref_size(phi.child)
+
+
+def ref_atom_names(phi):
+    if isinstance(phi, Atom):
+        return frozenset((phi.name,))
+    if isinstance(phi, Falsum):
+        return frozenset()
+    if isinstance(phi, Not):
+        return ref_atom_names(phi.child)
+    if isinstance(phi, And):
+        return ref_atom_names(phi.left) | ref_atom_names(phi.right)
+    return ref_atom_names(phi.child)
+
+
+def ref_is_unimodal(phi):
+    if isinstance(phi, (Atom, Falsum)):
+        return True
+    if isinstance(phi, Not):
+        return ref_is_unimodal(phi.child)
+    if isinstance(phi, And):
+        return ref_is_unimodal(phi.left) and ref_is_unimodal(phi.right)
+    return phi.modality == MOD_A and ref_is_unimodal(phi.child)
+
+
+def ref_equal(f, g):
+    """Structural equality, field by field."""
+    if type(f) is not type(g):
+        return False
+    if isinstance(f, Falsum):
+        return True
+    if isinstance(f, Atom):
+        return f.name == g.name
+    if isinstance(f, Not):
+        return ref_equal(f.child, g.child)
+    if isinstance(f, And):
+        return ref_equal(f.left, g.left) and ref_equal(f.right, g.right)
+    return f.modality == g.modality and ref_equal(f.child, g.child)
+
+
+def rebuild(phi):
+    """A copy of phi that shares no node with it."""
+    if isinstance(phi, Falsum):
+        return Falsum()
+    if isinstance(phi, Atom):
+        return Atom(str(phi.name))
+    if isinstance(phi, Not):
+        return Not(rebuild(phi.child))
+    if isinstance(phi, And):
+        return And(rebuild(phi.left), rebuild(phi.right))
+    return Box(phi.modality, rebuild(phi.child))
+
+
+def _corpus(seed, modalities, count=2000, budget=10):
+    rng = random.Random(seed)
+    return [random_formula(rng, budget, ["p", "q"], modalities) for _ in range(count)]
+
+
+class TestStoredMeasures:
+    @pytest.mark.parametrize("modalities", [(MOD_A,), (MOD_A, MOD_B)])
+    def test_match_the_recursive_definitions(self, modalities):
+        for phi in _corpus(29, modalities):
+            assert sort_key(phi) == ref_sort_key(phi)
+            assert degree(phi) == ref_degree(phi)
+            assert size(phi) == ref_size(phi)
+            assert atom_names(phi) == ref_atom_names(phi)
+            assert is_unimodal(phi) == ref_is_unimodal(phi)
+
+    @pytest.mark.parametrize("modalities", [(MOD_A,), (MOD_A, MOD_B)])
+    def test_separately_built_equal_formulas_hash_alike(self, modalities):
+        for phi in _corpus(31, modalities):
+            twin = rebuild(phi)
+            assert twin is not phi
+            assert twin == phi
+            assert hash(twin) == hash(phi)
+            assert {phi: 1}[twin] == 1
+
+    @pytest.mark.parametrize("modalities", [(MOD_A,), (MOD_A, MOD_B)])
+    def test_equality_is_structural_and_agrees_with_sort_key(self, modalities):
+        # Small budgets over one atom make equal pairs common.
+        rng = random.Random(37)
+        pool = [random_formula(rng, 4, ["p"], modalities) for _ in range(400)]
+        equal_pairs = 0
+        for f in pool:
+            for g in pool[:60]:
+                same = ref_equal(f, g)
+                equal_pairs += same
+                assert (f == g) == same
+                assert (f == g) == (ref_sort_key(f) == ref_sort_key(g))
+                assert (f != g) == (not same)
+        assert equal_pairs > 400
+
+    def test_formulas_are_never_equal_to_other_types(self):
+        assert Atom("p") != "p"
+        assert Atom("p") != (1, "p")
+        assert FALSUM != 0
+
+    def test_pickle_rebuilds_the_hash_in_the_loading_process(self):
+        # String hashes are salted per process, so a pickle written by a
+        # process with another hash seed must not carry its stored hashes.
+        phi = parse("[a](p & ~q) -> <b>r", BIMODAL)
+        code = (
+            "import pickle, sys; from densemodal import parse; "
+            "sys.stdout.buffer.write(pickle.dumps(parse('[a](p & ~q) -> <b>r', 'bimodal')))"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1234")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        data = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        ).stdout
+        loaded = pickle.loads(data)
+        assert loaded == phi
+        assert hash(loaded) == hash(phi)
+        assert loaded in {phi}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", sorted(NESTINGS))
+    def test_max_depth_parses_and_one_more_is_rejected(self, shape):
+        text = NESTINGS[shape](MAX_DEPTH)
+        phi = parse(text)
+        assert parse(render(phi)) == phi
+        with pytest.raises(ParseError) as err:
+            parse(NESTINGS[shape](MAX_DEPTH + 1))
+        assert f"deeper than {MAX_DEPTH}" in err.value.message
+
+    def test_depth_counts_nesting_not_length(self):
+        # A balanced conjunction of 64 leaves: each of its six levels adds
+        # one level for the parenthesis and one for the right operand.
+        def balanced(leaves, leaf):
+            if leaves == 1:
+                return leaf
+            half = balanced(leaves // 2, leaf)
+            return f"({half}) & ({half})"
+
+        text = balanced(64, "~" * (MAX_DEPTH - 12) + "p")
+        assert size(parse(text)) == 64 * (MAX_DEPTH - 11) + 63
+        with pytest.raises(ParseError):
+            parse(balanced(64, "~" * (MAX_DEPTH - 11) + "p"))
