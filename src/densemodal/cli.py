@@ -4,12 +4,17 @@ Exit codes: 0 the question was answered (the verdict is on stdout), 64
 usage error, 65 parse error, 70 a runtime self-check failed.  Verdicts
 never map to nonzero exit codes, so scripts can tell UNSAT from failure.
 Formulas nested deeper than formula.MAX_DEPTH (176) levels are parse
-errors, so deep input exits 65 instead of overflowing the stack.
+errors, so deep input exits 65 instead of overflowing the stack.  A
+--model file that cannot be written, a negative --max-worlds, --max-size
+or --oracle-worlds, and a translate --fresh guard that is not an atom name
+are usage errors (64).  The kde --stats line comes from the same fixpoint
+run as the verdict and the model.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -26,8 +31,10 @@ from .formula import (
     parse,
     render,
 )
-from .kde import build_index, counter_model, fixpoint, frame_model, kde_sat
-from .kdeab import BoundPolicy, SAT, sat_set
+# cli calls only kde_solve and frame_model; densebench/layers.py also wraps
+# build_index, counter_model, fixpoint and kde_sat as cli call sites.
+from .kde import build_index, counter_model, fixpoint, frame_model, kde_sat, kde_solve  # noqa: F401
+from .kdeab import BoundPolicy, SAT, UNSAT, sat_set
 from .oracle import (
     KripkeModel,
     bounded_search,
@@ -51,7 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first `main()` call.
+
+    Parsing leaves the parser unchanged, so every call can share it.
+    """
     parser = _Parser(prog="densemodal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -92,8 +104,17 @@ def _build_parser() -> _Parser:
 
 
 def _write_model(path: str, model: KripkeModel, include_rb: bool) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(model_json_text(model, include_rb) + "\n")
+    text = model_json_text(model, include_rb) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write the model file: {exc}") from exc
+
+
+def _check_nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must not be negative, got {value}")
 
 
 def _cmd_solve(args) -> int:
@@ -104,48 +125,35 @@ def _cmd_solve(args) -> int:
     return _solve_kdeab(args, phi)
 
 
+def _kde_answer(args, phi: Formula) -> tuple[str, dict, Optional[KripkeModel]]:
+    """The verdict, the stats and the model to check and write, from one solve.
+
+    Only these outlive the call, so the fixpoint frame is freed before the
+    model is checked and serialized.
+    """
+    result = kde_solve(phi)
+    if args.mode == "sat":
+        witness = result.witness()
+        return (UNSAT if witness is None else SAT), result.stats, witness
+    if result.valid:
+        return "VALID", result.stats, None
+    return "INVALID", result.stats, result.counter_model() if args.model else None
+
+
 def _solve_kde(args, phi: Formula) -> int:
-    if args.mode == "valid":
-        frame, iterations = fixpoint(phi)
-        last = build_index(phi).n - 1
-        valid = all(p[last] == 1 for p in frame.profiles)
-        print("VALID" if valid else "INVALID")
-        if args.stats:
-            print(json.dumps(
-                {
-                    "edges": len(frame.rel),
-                    "iterations": iterations,
-                    "profiles": len(frame.profiles),
-                },
-                sort_keys=True,
-            ))
-        if args.model and not valid:
-            model = counter_model(phi)
-            if model is None or model_check(model, model.root, phi):
-                raise InvariantError("countermodel does not falsify the formula")
-            if not is_dense(model):
-                raise InvariantError("countermodel frame is not dense")
-            _write_model(args.model, model, include_rb=False)
-        return 0
-    result = kde_sat(phi)
-    print(result.verdict)
+    verdict, stats, model = _kde_answer(args, phi)
+    print(verdict)
     if args.stats:
-        frame, iterations = fixpoint(phi)
-        print(json.dumps(
-            {
-                "edges": len(frame.rel),
-                "iterations": iterations,
-                "profiles": len(frame.profiles),
-            },
-            sort_keys=True,
-        ))
-    if result.witness is not None:
-        if not model_check(result.witness, result.witness.root, phi):
-            raise InvariantError("witness fails model_check")
-        if not is_dense(result.witness):
-            raise InvariantError("witness frame is not dense")
-        if args.model:
-            _write_model(args.model, result.witness, include_rb=False)
+        print(json.dumps(stats, sort_keys=True))
+    if model is None:
+        return 0
+    sat = args.mode == "sat"
+    if model_check(model, model.root, phi) != sat:
+        raise InvariantError("witness fails model_check" if sat else "countermodel does not falsify the formula")
+    if not is_dense(model):
+        raise InvariantError(f"{'witness' if sat else 'countermodel'} frame is not dense")
+    if args.model:
+        _write_model(args.model, model, include_rb=False)
     return 0
 
 
@@ -176,6 +184,7 @@ def _parse_either_mode(text: str) -> Formula:
 
 
 def _cmd_oracle(args) -> int:
+    _check_nonnegative("--max-worlds", args.max_worlds)
     phi = _parse_either_mode(args.formula)
     frame_class = args.frame_class.replace("-", "_")
     model = bounded_search(
@@ -219,8 +228,8 @@ def run_kde_corpus(max_size: int, atoms: int, oracle_worlds: int) -> tuple[list[
     oracle_found = 0
     failures: list[str] = []
     for phi in formulas:
-        ix = build_index(phi)
-        frame, _ = fixpoint(phi)
+        result = kde_solve(phi)
+        ix, frame = result.index, result.frame
         if not frame.profiles:
             failures.append(f"empty fixpoint: {phi}")
             continue
@@ -235,16 +244,15 @@ def run_kde_corpus(max_size: int, atoms: int, oracle_worlds: int) -> tuple[list[
                 if (ids[p] in holds) != (p[i] == 1):
                     failures.append(f"profile bit mismatch: {phi} at entry {i}")
                     break
-        result = kde_sat(phi)
-        if result.verdict == SAT:
+        witness = result.witness()
+        if witness is not None:
             sat_count += 1
-            witness = result.witness
             if not model_check(witness, witness.root, phi) or not is_dense(witness):
                 failures.append(f"bad witness: {phi}")
         found = bounded_search({phi}, "dense", max_worlds=oracle_worlds, max_atoms=atoms)
         if found is not None:
             oracle_found += 1
-            if result.verdict != SAT:
+            if witness is None:
                 failures.append(f"oracle found a dense model but solver said UNSAT: {phi}")
     lines = [
         f"corpus kde: max-size={max_size} atoms={atoms} oracle-worlds={oracle_worlds}",
@@ -299,6 +307,8 @@ def run_kdeab_corpus(max_size: int, atoms: int, oracle_worlds: int) -> tuple[lis
 
 
 def _cmd_corpus(args) -> int:
+    _check_nonnegative("--max-size", args.max_size)
+    _check_nonnegative("--oracle-worlds", args.oracle_worlds)
     runner = run_kde_corpus if args.logic == "kde" else run_kdeab_corpus
     lines, ok = runner(args.max_size, args.atoms, args.oracle_worlds)
     for line in lines:

@@ -155,14 +155,20 @@ def refine_frame(frame: ProfileFrame, ix: SubformulaIndex) -> ProfileFrame:
     return ProfileFrame(frozenset(keep), rel)
 
 
-def fixpoint(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> tuple[ProfileFrame, int]:
+def fixpoint(
+    phi: Formula,
+    max_free_bits: int = FREE_BIT_LIMIT,
+    ix: Optional[SubformulaIndex] = None,
+) -> tuple[ProfileFrame, int]:
     """Iterate refinement to stability; returns the frame and the step count.
 
     The step count is the least k with refine^(k+1) == refine^k.  The
     resulting frame is never empty; emptiness would invalidate the whole
-    procedure, so it is checked on every run.
+    procedure, so it is checked on every run.  `ix` is phi's index when the
+    caller has already built it.
     """
-    ix = build_index(phi)
+    if ix is None:
+        ix = build_index(phi)
     frame = initial_frame(ix, max_free_bits)
     iterations = 0
     while True:
@@ -174,13 +180,6 @@ def fixpoint(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> tuple[Profile
     if not frame.profiles:
         raise InvariantError(f"empty fixpoint frame for {phi}")
     return frame, iterations
-
-
-def kde_valid(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> bool:
-    """Validity over dense frames: the target bit is set in every survivor."""
-    frame, _ = fixpoint(phi, max_free_bits)
-    last = build_index(phi).n - 1
-    return all(p[last] == 1 for p in frame.profiles)
 
 
 def frame_model(frame: ProfileFrame, ix: SubformulaIndex, root: Profile) -> KripkeModel:
@@ -204,6 +203,56 @@ def frame_model(frame: ProfileFrame, ix: SubformulaIndex, root: Profile) -> Krip
     )
 
 
+@dataclass(frozen=True)
+class KdeResult:
+    """One fixpoint run over one target: the verdicts, models and stats all read it."""
+
+    index: SubformulaIndex
+    frame: ProfileFrame
+    iterations: int
+
+    @property
+    def stats(self) -> dict:
+        """The counters `solve --logic kde --stats` prints."""
+        return {
+            "edges": len(self.frame.rel),
+            "iterations": self.iterations,
+            "profiles": len(self.frame.profiles),
+        }
+
+    @property
+    def valid(self) -> bool:
+        """Validity over dense frames: the target bit is set in every survivor."""
+        return self._least(0) is None
+
+    def witness(self) -> Optional[KripkeModel]:
+        """The fixpoint model pointed at the least profile setting the target bit."""
+        return self._pointed(self._least(1))
+
+    def counter_model(self) -> Optional[KripkeModel]:
+        """The fixpoint model pointed at the least profile clearing the target bit."""
+        return self._pointed(self._least(0))
+
+    def _least(self, bit: int) -> Optional[Profile]:
+        last = self.index.n - 1
+        return min((p for p in self.frame.profiles if p[last] == bit), default=None)
+
+    def _pointed(self, root: Optional[Profile]) -> Optional[KripkeModel]:
+        return None if root is None else frame_model(self.frame, self.index, root)
+
+
+def kde_solve(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> KdeResult:
+    """Build phi's index and run the fixpoint over it, once."""
+    ix = build_index(phi)
+    frame, iterations = fixpoint(phi, max_free_bits, ix)
+    return KdeResult(ix, frame, iterations)
+
+
+def kde_valid(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> bool:
+    """Validity over dense frames: the target bit is set in every survivor."""
+    return kde_solve(phi, max_free_bits).valid
+
+
 def kde_sat(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> SatResult:
     """Satisfiability over dense frames, with the fixpoint frame as witness.
 
@@ -211,21 +260,10 @@ def kde_sat(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> SatResult:
     is the fixpoint model pointed at the lexicographically smallest such
     profile.
     """
-    ix = build_index(phi)
-    frame, _ = fixpoint(phi, max_free_bits)
-    last = ix.n - 1
-    hits = sorted(p for p in frame.profiles if p[last] == 1)
-    if not hits:
-        return SatResult(UNSAT, None, None)
-    return SatResult(SAT, frame_model(frame, ix, hits[0]), None)
+    witness = kde_solve(phi, max_free_bits).witness()
+    return SatResult(UNSAT if witness is None else SAT, witness, None)
 
 
 def counter_model(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> Optional[KripkeModel]:
     """For an invalid formula, the fixpoint model pointed at a failing profile."""
-    ix = build_index(phi)
-    frame, _ = fixpoint(phi, max_free_bits)
-    last = ix.n - 1
-    misses = sorted(p for p in frame.profiles if p[last] == 0)
-    if not misses:
-        return None
-    return frame_model(frame, ix, misses[0])
+    return kde_solve(phi, max_free_bits).counter_model()

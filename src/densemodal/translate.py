@@ -18,8 +18,11 @@ from .formula import (
     Falsum,
     Formula,
     Not,
+    ParseError,
+    UNIMODAL,
     atom_names,
     implies,
+    parse,
     size,
 )
 
@@ -29,8 +32,16 @@ _FALLBACK_NAMES = "abcdefghijklmnopqrstuvwxyz"
 def relativize(guard: str, phi: Formula) -> Formula:
     """Relativize every box through the fresh guard atom.
 
-    Raises ValueError when the guard already occurs in the formula.
+    Raises ValueError when the guard is not an atom name (it must parse as
+    exactly Atom(guard), so not `false`, `true`, `P` or `x&y`) or when it
+    already occurs in the formula.
     """
+    try:
+        named = parse(guard, UNIMODAL) == Atom(guard)
+    except ParseError:
+        named = False
+    if not named:
+        raise ValueError(f"guard {guard!r} is not an atom name")
     if guard in atom_names(phi):
         raise ValueError(f"guard atom {guard!r} occurs in the formula")
     p = Atom(guard)

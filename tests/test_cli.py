@@ -1,11 +1,30 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from itertools import product
 
 import pytest
 
-from densemodal import is_dense, is_weakly_dense, model_check, model_from_json, parse
+import densemodal
+import densemodal.kde as kde_module
+from densemodal import (
+    UNIMODAL,
+    build_index,
+    fixpoint,
+    frame_model,
+    is_dense,
+    is_weakly_dense,
+    model_check,
+    model_from_json,
+    model_json_text,
+    parse,
+    render,
+)
 from densemodal.cli import main
 from densemodal.formula import MAX_DEPTH
-from conftest import NESTINGS
+from conftest import NESTINGS, random_formula
 
 
 def run(capsys, *argv):
@@ -119,6 +138,12 @@ class TestTranslate:
         code, _, err = run(capsys, "translate", "--fresh", "q", "[]q")
         assert code == 64
 
+    @pytest.mark.parametrize("guard", ["false", "true", "P", "x&y"])
+    def test_guard_that_is_not_an_atom_is_usage_error(self, capsys, guard):
+        code, out, err = run(capsys, "translate", "--fresh", guard, "[]q")
+        assert (code, out) == (64, "")
+        assert err == f"usage error: guard {guard!r} is not an atom name\n"
+
 
 class TestCorpus:
     def test_kdeab_smoke(self, capsys):
@@ -157,6 +182,34 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", "--mode", "sat", "p")
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--logic", "kde", "--mode", "sat", "<>p & ~p"],
+        ["solve", "--logic", "kde", "--mode", "valid", "[]p -> p"],
+        ["solve", "--logic", "kdeab", "--mode", "sat", "~[a]p"],
+        ["solve", "--logic", "kdeab", "--mode", "valid", "[a]p -> p"],
+    ])
+    def test_unwritable_model_file_is_64(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "model.json"
+        code, out, err = run(capsys, *argv[:-1], "--model", str(path), argv[-1])
+        assert code == 64
+        assert out in ("SAT\n", "INVALID\n")
+        assert err.startswith("usage error: cannot write the model file: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--max-worlds", "-1", "p"],
+        ["oracle", "--class", "weakly-dense", "--max-worlds", "-2", "~[a]p"],
+        *(
+            ["corpus", "--logic", logic, "--max-size", size, "--atoms", "1", "--oracle-worlds", worlds]
+            for logic in ("kde", "kdeab")
+            for size, worlds in (("-1", "2"), ("3", "-1"))
+        ),
+    ])
+    def test_negative_bound_is_64(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: --") and "must not be negative" in err
+
 
 DEEP_COMMANDS = {
     "translate": ["translate"],
@@ -179,3 +232,134 @@ class TestDeepNesting:
         code, out, err = run(capsys, *argv, NESTINGS[shape](MAX_DEPTH + 1))
         assert code == 65 and not out
         assert f"deeper than {MAX_DEPTH} levels" in err
+
+
+def parent_solve_kde(mode, text):
+    """The CLI's kde path as it was composed before `kde_solve`.
+
+    The fixpoint for the stats line, then the profiles that set (sat) or
+    clear (valid) the target bit, then `frame_model` at the least of them,
+    then `model_json_text`.  Returns stdout and the model file's text.
+    """
+    phi = parse(text, UNIMODAL)
+    frame, iterations = fixpoint(phi)
+    ix = build_index(phi)
+    last = ix.n - 1
+    hits = sorted(p for p in frame.profiles if p[last] == 1)
+    misses = sorted(p for p in frame.profiles if p[last] == 0)
+    if mode == "sat":
+        verdict, roots = ("SAT" if hits else "UNSAT"), hits
+    else:
+        verdict, roots = ("INVALID" if misses else "VALID"), misses
+    stats = json.dumps(
+        {"edges": len(frame.rel), "iterations": iterations, "profiles": len(frame.profiles)},
+        sort_keys=True,
+    )
+    model = model_json_text(frame_model(frame, ix, roots[0]), False) + "\n" if roots else None
+    return f"{verdict}\n{stats}\n", model
+
+
+KDE_TEXTS = ["<>p & ~p", "p & ~p", "[][]p -> []p", "[]p -> p", "<>true & []false"]
+
+
+class TestKdeSolvePath:
+    def test_matches_the_parent_composition(self, capsys, tmp_path):
+        rng = random.Random(20261018)
+        path = tmp_path / "model.json"
+        checked = 0
+        while checked < 300:
+            phi = random_formula(rng, rng.choice((10, 20, 40)), ("p", "q", "r"))
+            if len(build_index(phi).free_positions) > 7:
+                continue
+            checked += 1
+            text = render(phi, UNIMODAL)
+            for mode in ("sat", "valid"):
+                if path.exists():
+                    path.unlink()
+                code, out, err = run(
+                    capsys, "solve", "--logic", "kde", "--mode", mode,
+                    "--stats", "--model", str(path), text,
+                )
+                model = path.read_text(encoding="utf-8") if path.exists() else None
+                assert (code, err) == (0, "")
+                assert (out, model) == parent_solve_kde(mode, text), (mode, text)
+
+    @pytest.mark.parametrize("text", KDE_TEXTS)
+    def test_one_fixpoint_per_query(self, capsys, tmp_path, monkeypatch, text):
+        calls = []
+        original = kde_module.fixpoint
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kde_module, "fixpoint", counted)
+        for mode, stats, model in product(("sat", "valid"), (False, True), (False, True)):
+            argv = ["solve", "--logic", "kde", "--mode", mode]
+            argv += ["--stats"] * stats + ["--model", str(tmp_path / "m.json")] * model
+            calls.clear()
+            code, _, _ = run(capsys, *argv, text)
+            assert code == 0
+            assert len(calls) == 1, argv
+
+
+# One process, several calls, each checked against a fresh process.
+REUSE_SEQUENCE = [
+    ["solve", "--mode", "sat", "p"],
+    ["solve", "--logic", "kde", "--mode", "sat", "p &"],
+    ["--help"],
+    ["solve", "--logic", "kde", "--mode", "valid", "--stats", "[]p -> p"],
+    ["solve", "--logic", "kdeab", "--mode", "sat", "--stats", "~[a]p"],
+    ["solve", "--help"],
+    ["solve", "--logic", "kde", "--mode", "sat", "--stats", "<>p & ~p"],
+    ["solve", "--mode", "sat", "p"],
+    ["bogus"],
+]
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(densemodal.__file__)))
+
+
+def fresh_process(argv, *args):
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, *args, *argv], capture_output=True, text=True, env=env, check=False,
+    )
+
+
+class TestParserReuse:
+    def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        codes = set()
+        for argv in REUSE_SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = fresh_process(argv, "-m", "densemodal")
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.add(code)
+        assert codes == {0, 64, 65}
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(self)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import densemodal.cli as cli\n"
+            "after_import = len(built)\n"
+            "cli.main(['solve', '--logic', 'kde', '--mode', 'sat', 'p'])\n"
+            "after_one = len(built)\n"
+            "cli.main(['solve', '--logic', 'kdeab', '--mode', 'sat', 'p'])\n"
+            "cli.main(['bogus'])\n"
+            "print(after_import, after_one, len(built))\n"
+        )
+        done = fresh_process([], "-c", script)
+        assert done.returncode == 0, done.stderr
+        after_import, after_one, after_three = map(int, done.stdout.split()[-3:])
+        assert after_import == 0
+        assert after_one > 0 and after_three == after_one

@@ -16,13 +16,15 @@ from densemodal import (
     initial_frame,
     is_dense,
     kde_sat,
+    kde_solve,
     kde_valid,
     model_check,
     parse,
     refine_frame,
     truth_set,
 )
-from densemodal.kde import frame_model
+import densemodal.kde as kde_module
+from densemodal.kde import counter_model, frame_model
 from conftest import random_formula
 
 P = Atom("p")
@@ -222,3 +224,35 @@ class TestVerdicts:
                 holds = truth_set(model, entry)
                 for p in order:
                     assert (ids[p] in holds) == (p[i] == 1)
+
+
+class TestKdeSolve:
+    def test_one_index_and_one_fixpoint(self, monkeypatch):
+        calls = {"build_index": 0, "fixpoint": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(kde_module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(kde_module, name, counted)
+        result = kde_solve(parse("<>p & []q -> <>(p & q)"))
+        result.stats, result.valid, result.witness(), result.counter_model()
+        assert calls == {"build_index": 1, "fixpoint": 1}
+
+    def test_reads_agree_with_the_fixpoint(self):
+        rng = random.Random(4242)
+        for _ in range(120):
+            phi = random_formula(rng, 9, ["p", "q"])
+            result = kde_solve(phi)
+            frame, iterations = fixpoint(phi)
+            ix = build_index(phi)
+            assert (result.frame, result.iterations, result.index.entries) == (frame, iterations, ix.entries)
+            assert result.stats == {
+                "edges": len(frame.rel),
+                "iterations": iterations,
+                "profiles": len(frame.profiles),
+            }
+            assert result.valid == kde_valid(phi)
+            assert result.witness() == kde_sat(phi).witness
+            assert result.counter_model() == counter_model(phi)
+            assert (result.witness() is None) == (kde_sat(phi).verdict == UNSAT)
+            assert (result.counter_model() is None) == result.valid

@@ -39,6 +39,17 @@ class TestRelativize:
         with pytest.raises(ValueError):
             relativize("q", parse("[]q"))
 
+    @pytest.mark.parametrize("guard", ["false", "true", "P", "x&y", "", " p"])
+    def test_guard_must_be_an_atom_name(self, guard):
+        # `false` as a guard would turn every box into [](false -> ...),
+        # which is valid whatever the body is.
+        with pytest.raises(ValueError, match="not an atom name"):
+            relativize(guard, parse("[]q"))
+
+    def test_every_fresh_name_is_a_guard(self):
+        for phi in (parse("[]q"), parse(" & ".join("abcdefghijklmnopqrstuvwxyz"))):
+            assert relativize(fresh_atom(phi), phi) is not None
+
     def test_size_bound_on_corpus(self):
         for phi in all_formulas(6, ["q"]):
             assert size(relativize("p", phi)) <= 5 * size(phi)
