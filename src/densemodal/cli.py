@@ -71,8 +71,14 @@ def _build_parser() -> _Parser:
     solve.add_argument("--logic", choices=("kde", "kdeab"), required=True)
     solve.add_argument("--mode", choices=("sat", "valid"), required=True)
     solve.add_argument("--model", metavar="PATH", help="write the witness or countermodel JSON here")
-    solve.add_argument("--bound", choices=("lasso", "counter"), default="lasso")
-    solve.add_argument("--no-memo", action="store_true")
+    solve.add_argument(
+        "--bound", choices=("lasso", "counter"), default="lasso",
+        help="kdeab chain stop: a repeated window or a pigeonhole count; same answers",
+    )
+    solve.add_argument(
+        "--no-memo", action="store_true",
+        help="kdeab: re-solve repeated saturations; same verdict, slower",
+    )
     solve.add_argument("--stats", action="store_true")
     solve.add_argument("formula")
     solve.set_defaults(func=_cmd_solve)

@@ -6,11 +6,18 @@ of strictly smaller degree.  Every negated a-box starts a window chain: an
 initial window whose first part carries the diamond body, then repeated
 continuations whose first parts must all be satisfiable.  An infinite such
 chain would witness the diamond outright; because windows over one anchor
-form a finite space, a chain that repeats a window can be looped instead,
-so the search accepts on the first repetition (lasso mode) or after a
-pigeonhole-sized countdown (counter mode).  The two acceptances agree: a
-lasso unrolls to any length, and a chain longer than the number of distinct
-windows must repeat.
+form a finite space, a chain that repeats a window can be looped instead.
+
+One depth-first search decides each chain: it accepts on the first window
+repeated along the current chain (a lasso) and otherwise reports how many
+windows its longest chain had.  Both stopping rules read that one search.
+Lasso mode accepts on a lasso.  Counter mode, the paper's pigeonhole rule,
+accepts once a chain of budget many windows exists, which holds exactly
+when there is a lasso (it unrolls to any length) or the longest chain
+reaches the budget: without a lasso every chain is repetition-free, and the
+search has walked them all.  Full solves take the budget from
+counter_bound, which exceeds the number of distinct windows, so there the
+two rules accept the same chains with the same lasso witness.
 
 Every SAT verdict is converted into an explicit finite model (worlds are
 the distinct saturations the accepted search touched, chains close their
@@ -22,7 +29,7 @@ rather than returning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import InvariantError
 from .formula import (
@@ -50,10 +57,13 @@ COUNTER = "counter"
 
 
 def counter_bound(members: Iterable[Formula]) -> int:
-    """Upper bound on distinct windows for an anchor: 2**(M*(d+1)).
+    """Counter-mode budget for an anchor: 2**(M*(d+1)).
 
-    M counts csf(sf(anchor)); every window part is a subset of that
-    universe, so the bound dominates the number of window tuples.
+    M counts csf(sf(anchor)) and d is the anchor's degree.  Each of a
+    window's d+1 parts is a clash-free subset of that universe, and the
+    universe holds the anchor's negated a-box beside its box, so there are
+    fewer than 2**M choices per part: the bound exceeds the number of
+    distinct windows, and no repetition-free chain reaches it.
     """
     members = frozenset(members)
     m = len(csf(sf(members)))
@@ -64,9 +74,12 @@ def counter_bound(members: Iterable[Formula]) -> int:
 class BoundPolicy:
     """How a window chain is allowed to stop.
 
-    In counter mode the budget is normally computed per anchor via
-    counter_bound; counter_value pins it explicitly (used by tests, and by
-    the budget-zero degenerate case, which accepts immediately).
+    Both modes read the same lasso search (see the module docstring).
+    LASSO accepts on a repeated window.  COUNTER accepts once budget many
+    windows with satisfiable heads line up; with counter_bound of the
+    anchor as the budget, that accepts the same chains as LASSO.
+    counter_value pins a non-negative budget instead, which only
+    sat_window_chain honours; a budget of 0 accepts at once.
     """
 
     mode: str = LASSO
@@ -75,6 +88,11 @@ class BoundPolicy:
     def __post_init__(self) -> None:
         if self.mode not in (LASSO, COUNTER):
             raise ValueError(f"unknown bound mode {self.mode!r}")
+        if self.counter_value is not None:
+            if self.mode != COUNTER:
+                raise ValueError("counter_value needs the counter bound mode")
+            if self.counter_value < 0:
+                raise ValueError(f"counter_value must not be negative, got {self.counter_value}")
 
 
 @dataclass
@@ -181,9 +199,14 @@ class _Search:
                 chain = None
                 for start in _windows.initial_windows(anchor, Not(body)):
                     self.stats.windows += 1
-                    chain = self.chain(start, depth)
+                    chain, longest = self.lasso_chain(start, depth)
                     if chain is not None:
                         break
+                    if self.policy.mode == COUNTER and longest >= counter_bound(members):
+                        raise InvariantError(
+                            "a repetition-free window chain reached the counter bound; "
+                            "the bound is below the true window count"
+                        )
                 if chain is None:
                     node = None
                     break
@@ -194,25 +217,19 @@ class _Search:
 
     # -- window chains -----------------------------------------------------
 
-    def chain(
-        self,
-        start: _windows.Window,
-        depth: int,
-        budget_override: Optional[int] = None,
-        fold: bool = True,
-    ) -> Optional[ChainWitness]:
-        if self.policy.mode == COUNTER:
-            budget = budget_override
-            if budget is None:
-                budget = counter_bound(start.anchor.members)
-            return self.counter_chain(start, budget, depth, fold)
-        return self.lasso_chain(start, depth)
+    def lasso_chain(
+        self, start: _windows.Window, depth: int
+    ) -> tuple[Optional[ChainWitness], int]:
+        """Accept on the first window repeated along the current chain.
 
-    def lasso_chain(self, start: _windows.Window, depth: int) -> Optional[ChainWitness]:
-        """Accept on the first window repeated along the current chain."""
+        Also returns how many windows the longest chain walked had; without
+        a lasso the search has walked every chain, so that is the longest
+        chain from start.
+        """
         first = self.sat_members(start.head, depth + 1)
         if first is None:
-            return None
+            return None, 0
+        longest = 1
         wins = [start]
         heads = [first]
         iters = [iter(self.continuations_of(start))]
@@ -230,85 +247,13 @@ class _Search:
             if node is None:
                 continue
             if nxt.parts in seen:
-                return ChainWitness(list(heads), seen[nxt.parts])
+                return ChainWitness(list(heads), seen[nxt.parts]), longest
             seen[nxt.parts] = len(wins)
             wins.append(nxt)
             heads.append(node)
             iters.append(iter(self.continuations_of(nxt)))
-        return None
-
-    def counter_chain(
-        self, start: _windows.Window, budget: int, depth: int, fold: bool = True
-    ) -> Optional[ChainWitness]:
-        """Accept once budget many windows with satisfiable heads line up.
-
-        A chain that fails with r steps still owed also fails with more
-        owed, so failures are memoized by window under the smallest budget
-        they failed at; this prunes rewalks without changing the accepted
-        language.
-        """
-        if budget <= 0:
-            return ChainWitness([], 0)
-        min_fail: dict[tuple, int] = {}
-        wins: list[_windows.Window] = []
-        heads: list[Trace] = []
-        iters: list[Iterator] = []
-        owed: list[int] = []
-
-        def note_fail(parts: tuple, r: int) -> None:
-            prev = min_fail.get(parts)
-            if prev is None or r < prev:
-                min_fail[parts] = r
-
-        def enter(window: _windows.Window, r: int) -> bool:
-            prev = min_fail.get(window.parts)
-            if prev is not None and prev <= r:
-                return False
-            node = self.sat_members(window.head, depth + 1)
-            if node is None:
-                note_fail(window.parts, 1)
-                return False
-            wins.append(window)
-            heads.append(node)
-            iters.append(iter(self.continuations_of(window)))
-            owed.append(r)
-            return True
-
-        def accept() -> ChainWitness:
-            return _loop_of(wins, heads) if fold else ChainWitness([], 0)
-
-        if not enter(start, budget):
-            return None
-        if budget == 1:
-            return accept()
-        while wins:
-            nxt = next(iters[-1], None)
-            if nxt is None:
-                note_fail(wins[-1].parts, owed[-1])
-                wins.pop()
-                heads.pop()
-                iters.pop()
-                owed.pop()
-                continue
-            self.stats.windows += 1
-            if enter(nxt, owed[-1] - 1):
-                if owed[-1] == 1:
-                    return accept()
-        return None
-
-
-def _loop_of(wins: list, heads: list[Trace]) -> ChainWitness:
-    """Fold an accepted chain at its first repeated window."""
-    seen: dict[tuple, int] = {}
-    for i, window in enumerate(wins):
-        j = seen.get(window.parts)
-        if j is not None:
-            return ChainWitness(heads[:i], j)
-        seen[window.parts] = i
-    raise InvariantError(
-        "accepted counter chain contains no repeated window; "
-        "the budget was below the true window count"
-    )
+            longest = max(longest, len(wins))
+        return None, longest
 
 
 # --------------------------------------------------------------------------
@@ -371,6 +316,15 @@ def _verified_witness(trace: Trace, at_root: Iterable[Formula]) -> KripkeModel:
     return model
 
 
+def _solve_policy(policy: Optional[BoundPolicy]) -> BoundPolicy:
+    """Full solves take every budget from counter_bound, never a pinned one."""
+    if policy is None:
+        return BoundPolicy()
+    if policy.counter_value is not None:
+        raise ValueError("counter_value is only honoured by sat_window_chain")
+    return policy
+
+
 def sat_set(
     formulas: Iterable[Formula],
     policy: Optional[BoundPolicy] = None,
@@ -382,7 +336,7 @@ def sat_set(
     carries a verified witness model and search statistics.
     """
     targets = frozenset(formulas)
-    search = _Search(policy or BoundPolicy(), memo)
+    search = _Search(_solve_policy(policy), memo)
     for cand in search.family(targets):
         trace = search.sat_members(cand.members, 0)
         if trace is not None:
@@ -399,7 +353,7 @@ def sat_saturation(
     """Satisfiability of a single saturation (diamond by diamond)."""
     if not is_saturation_of(saturation.members, saturation.seed):
         raise ValueError("not a valid saturation of its seed")
-    search = _Search(policy or BoundPolicy(), memo)
+    search = _Search(_solve_policy(policy), memo)
     trace = search.sat_members(saturation.members, 0)
     if trace is None:
         return SatResult(UNSAT, None, search.stats)
@@ -415,9 +369,17 @@ def sat_window_chain(
     """Whether a window chain starting here can be completed.
 
     This is the one entry point that honours an explicit counter_value on
-    the policy; full solves always compute the per-anchor bound, which
-    keeps the loop-folding of accepted chains well defined.
+    the policy.  Both modes read one lasso search: lasso mode accepts on a
+    lasso, counter mode also when the longest chain reaches the budget,
+    which is exact because without a lasso the search walked every chain.
     """
     policy = policy or BoundPolicy()
-    search = _Search(policy, memo)
-    return search.chain(window, 0, policy.counter_value, fold=False) is not None
+    budget = policy.counter_value
+    if budget == 0:
+        return True
+    chain, longest = _Search(policy, memo).lasso_chain(window, 0)
+    if chain is not None or policy.mode == LASSO:
+        return chain is not None
+    if budget is None:
+        budget = counter_bound(window.anchor.members)
+    return longest >= budget

@@ -24,17 +24,17 @@ from densemodal import (
     MOD_B,
     Not,
     SAT,
+    SatResult,
     Saturation,
     UNSAT,
     all_formulas,
     bounded_search,
-    build_index,
     counter_bound,
     csf,
-    fixpoint,
     is_dense,
     is_weakly_dense,
     kde_sat,
+    kde_solve,
     kde_valid,
     k_valid,
     model_check,
@@ -50,6 +50,7 @@ from densemodal.errors import InvariantError
 from densemodal.kde import frame_model
 from densemodal.saturation import is_saturation_of, saturation_family
 from conftest import random_formula
+from counter_reference import reference_sat_set
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -86,9 +87,10 @@ def kde_corpus():
     start = time.monotonic()
     entries = []
     for phi in all_formulas(7, ["p"]):
-        ix = build_index(phi)
-        frame, _ = fixpoint(phi)
-        result = kde_sat(phi)
+        solved = kde_solve(phi)
+        ix, frame = solved.index, solved.frame
+        witness = solved.witness()
+        result = SatResult(UNSAT if witness is None else SAT, witness, None)
         found = bounded_search({phi}, "dense", max_worlds=3, max_atoms=1)
         entries.append((phi, ix, frame, result, found))
     sampled = []
@@ -307,6 +309,9 @@ def test_criterion_08_continuation_audit(continuation_audit, kdeab_corpus):
 
 
 def test_criterion_09_bound_policy_agreement(kdeab_corpus):
+    # Counter mode against lasso mode and against the former counter walk
+    # (tests/counter_reference.py), which walks its whole 2**(M*(d+1))
+    # budget, hence the skip.
     compared = disagreements = 0
     for phi, result, _, _ in kdeab_corpus["entries"]:
         family = saturation_family(frozenset({phi}))
@@ -315,8 +320,12 @@ def test_criterion_09_bound_policy_agreement(kdeab_corpus):
         if max(counter_bound(w.members) for w in family) > 2 ** 16:
             continue
         compared += 1
-        counter_verdict = sat_set({phi}, BoundPolicy(COUNTER)).verdict
-        if counter_verdict != result.verdict:
+        counter = sat_set({phi}, BoundPolicy(COUNTER))
+        reference = reference_sat_set({phi})
+        if not (
+            counter.verdict == result.verdict == reference.verdict
+            and counter.witness == reference.witness
+        ):
             disagreements += 1
     worked = Saturation(
         frozenset({Box(MOD_A, Atom("q")), Not(Box(MOD_A, Atom("p")))}),
@@ -330,6 +339,16 @@ def test_criterion_09_bound_policy_agreement(kdeab_corpus):
     report(9, ok, f"{compared} formulas compared across modes, {disagreements} disagreements")
     assert worked_ok
     assert disagreements == 0
+
+
+def test_counter_mode_reads_the_lasso_search(kdeab_corpus):
+    # No skip: counter mode now reads the lasso search, so it answers
+    # every formula with lasso's verdict, witness and stats.
+    for phi, result, _, _ in kdeab_corpus["entries"]:
+        counter = sat_set({phi}, BoundPolicy(COUNTER))
+        assert counter.verdict == result.verdict, phi
+        assert counter.witness == result.witness, phi
+        assert counter.stats == result.stats, phi
 
 
 CLI_CASES = [

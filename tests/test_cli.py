@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -100,6 +101,24 @@ class TestSolve:
             "--bound", "counter", "--no-memo", "~[a]p",
         )
         assert (code, out) == (0, "SAT\n")
+
+    def test_counter_bound_answers_where_its_budget_is_2_to_the_48(self, capsys):
+        # counter_bound is 2**48 here; a walk of the whole budget never ends.
+        start = time.monotonic()
+        code, out, _ = run(
+            capsys, "solve", "--logic", "kdeab", "--mode", "sat", "--bound", "counter",
+            "--stats", "<a>(p & q) & [a]<b>r",
+        )
+        elapsed = time.monotonic() - start
+        assert (code, out) == (0, 'SAT\n{"max_depth": 2, "saturations": 3, "windows": 3}\n')
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+    def test_kdeab_search_options_have_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--bound {lasso,counter} kdeab chain stop:" in out
+        assert "--no-memo kdeab: re-solve" in out
 
 
 class TestOracle:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import pytest
 
+import densemodal.kdeab as kdeab_mod
+import densemodal.windows as windows_mod
 from densemodal import (
     Atom,
     BoundPolicy,
@@ -16,6 +18,8 @@ from densemodal import (
     SAT,
     Saturation,
     UNSAT,
+    Window,
+    all_formulas,
     counter_bound,
     initial_windows,
     is_weakly_dense,
@@ -27,8 +31,11 @@ from densemodal import (
     sat_window_chain,
     set_degree,
 )
+from densemodal.errors import InvariantError
+from densemodal.kdeab import _diamond_bodies
 from densemodal.saturation import saturation_family
 from conftest import random_formula
+from counter_reference import reference_sat_set, reference_window_chain
 
 P, Q = Atom("p"), Atom("q")
 
@@ -149,9 +156,29 @@ class TestSatSaturation:
         with pytest.raises(ValueError):
             sat_saturation(Saturation(bad, bad))
 
+    def test_pinned_counter_value_rejected(self):
+        # Full solves take every budget from counter_bound.
+        with pytest.raises(ValueError, match="counter_value"):
+            sat_saturation(WORKED, BoundPolicy(COUNTER, counter_value=5))
+
     def test_counter_bound_of_worked_anchor(self):
         # csf(sf(w)) has six elements and the degree is one: 2**(6*2).
         assert counter_bound(WORKED.members) == 4096
+
+
+def chain_graph(monkeypatch, edges):
+    """Window w0 over WORKED, whose continuations follow the given edges.
+
+    Window i has an empty, satisfiable head and a second part naming i.
+    """
+    def win(i):
+        return Window(WORKED, (frozenset(), frozenset({Atom(f"w{i}")})))
+
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(win(a).parts, []).append(win(b))
+    monkeypatch.setattr(windows_mod, "continuations", lambda w: iter(succ.get(w.parts, ())))
+    return win(0)
 
 
 class TestWindowChain:
@@ -167,6 +194,55 @@ class TestWindowChain:
         start = next(iter(initial_windows(WORKED, Not(P))))
         assert sat_window_chain(start)
         assert sat_window_chain(start, BoundPolicy(COUNTER))
+
+    def test_matches_reference_counter_walk(self):
+        # Every initial window of every anchor among the saturations of the
+        # bimodal corpus of criterion 3, at budgets 0-3 and at the anchor's
+        # own bound.  The reference solves the chain heads with its own
+        # walk, which takes nested budgets from counter_bound and walks them
+        # whole, so anchors above 2**16 are compared at budget 0 only.
+        anchors = dict.fromkeys(
+            w.members
+            for phi in all_formulas(6, ["p"], modalities=(MOD_A, MOD_B))
+            for w in saturation_family(frozenset({phi}))
+        )
+        compared = 0
+        for members in anchors:
+            anchor = Saturation(members, members)
+            budgets = (0, 1, 2, 3, None) if counter_bound(members) <= 2 ** 16 else (0,)
+            for body in _diamond_bodies(members, MOD_A):
+                for start in initial_windows(anchor, Not(body)):
+                    for budget in budgets:
+                        got = sat_window_chain(start, BoundPolicy(COUNTER, counter_value=budget))
+                        assert got == reference_window_chain(start, budget), (members, budget)
+                        compared += 1
+        assert compared > 400
+
+    def test_budget_reads_the_longest_chain(self, monkeypatch):
+        # No lasso: w0 -> w1 -> w2 and w0 -> w3, so the longest chain has
+        # three windows, and counter_bound(WORKED) is 4096.
+        start = chain_graph(monkeypatch, [(0, 1), (1, 2), (0, 3)])
+        for budget, accepts in [(0, True), (1, True), (2, True), (3, True), (4, False), (None, False)]:
+            assert sat_window_chain(start, BoundPolicy(COUNTER, counter_value=budget)) is accepts
+            assert reference_window_chain(start, budget) is accepts
+        assert not sat_window_chain(start)
+
+    def test_a_lasso_meets_every_budget(self, monkeypatch):
+        start = chain_graph(monkeypatch, [(0, 1), (1, 2), (2, 1)])
+        assert sat_window_chain(start)
+        for budget in (0, 1, 2, 3, 4, None):
+            assert sat_window_chain(start, BoundPolicy(COUNTER, counter_value=budget))
+            assert reference_window_chain(start, budget)
+
+    def test_a_bound_below_the_window_count_is_caught(self, monkeypatch):
+        # A repetition-free chain of three windows meets a bound of 2 in a
+        # full solve: a true bound exceeds the window count, so this raises.
+        start = chain_graph(monkeypatch, [(0, 1), (1, 2)])
+        monkeypatch.setattr(windows_mod, "initial_windows", lambda anchor, body: iter([start]))
+        monkeypatch.setattr(kdeab_mod, "counter_bound", lambda members: 2)
+        assert sat_saturation(WORKED).verdict == UNSAT
+        with pytest.raises(InvariantError, match="counter bound"):
+            sat_saturation(WORKED, BoundPolicy(COUNTER))
 
     def test_unsat_head_fails(self):
         # Anchor for ~(…axiom…): the only window demands p and ~p together.
@@ -197,6 +273,7 @@ class TestExtractModel:
 
 class TestBoundAgreement:
     def test_modes_agree_on_random_formulas(self):
+        # The reference counter walk covers only small bounds, hence the skip.
         rng = random.Random(131)
         for _ in range(80):
             phi = random_formula(rng, 6, ["p"], (MOD_A, MOD_B))
@@ -204,12 +281,28 @@ class TestBoundAgreement:
             if fam and max(counter_bound(w.members) for w in fam) > 2 ** 16:
                 continue
             lasso = sat_set({phi}, BoundPolicy(LASSO)).verdict
-            counter = sat_set({phi}, BoundPolicy(COUNTER)).verdict
-            assert lasso == counter
+            counter = sat_set({phi}, BoundPolicy(COUNTER))
+            reference = reference_sat_set({phi})
+            assert lasso == counter.verdict == reference.verdict
+            assert counter.witness == reference.witness, phi
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             BoundPolicy(mode="bogus")
+
+    def test_negative_counter_value_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            BoundPolicy(COUNTER, counter_value=-1)
+
+    def test_counter_value_needs_counter_mode(self):
+        with pytest.raises(ValueError, match="counter"):
+            BoundPolicy(LASSO, counter_value=3)
+        with pytest.raises(ValueError, match="counter"):
+            BoundPolicy(counter_value=0)
+
+    def test_full_solves_reject_a_pinned_counter_value(self):
+        with pytest.raises(ValueError, match="counter_value"):
+            sat_set({bi("~[a]p")}, BoundPolicy(COUNTER, counter_value=5))
 
 
 class TestMemory:
