@@ -108,12 +108,12 @@ def profiles(ix: SubformulaIndex) -> Iterator[Profile]:
         yield tuple(bits)
 
 
-def initial_frame(ix: SubformulaIndex, max_free_bits: int = FREE_BIT_LIMIT) -> ProfileFrame:
+def initial_frame(ix: SubformulaIndex) -> ProfileFrame:
     """All profiles with every box-respecting edge."""
-    if len(ix.free_positions) > max_free_bits:
+    if len(ix.free_positions) > FREE_BIT_LIMIT:
         raise ValueError(
             f"{len(ix.free_positions)} free bits exceed the limit of "
-            f"{max_free_bits}; the profile set would have 2**{len(ix.free_positions)} elements"
+            f"{FREE_BIT_LIMIT}; the profile set would have 2**{len(ix.free_positions)} elements"
         )
     ps = list(profiles(ix))
     box_pairs = ix.box_pairs
@@ -155,11 +155,7 @@ def refine_frame(frame: ProfileFrame, ix: SubformulaIndex) -> ProfileFrame:
     return ProfileFrame(frozenset(keep), rel)
 
 
-def fixpoint(
-    phi: Formula,
-    max_free_bits: int = FREE_BIT_LIMIT,
-    ix: Optional[SubformulaIndex] = None,
-) -> tuple[ProfileFrame, int]:
+def fixpoint(phi: Formula, ix: Optional[SubformulaIndex] = None) -> tuple[ProfileFrame, int]:
     """Iterate refinement to stability; returns the frame and the step count.
 
     The step count is the least k with refine^(k+1) == refine^k.  The
@@ -169,7 +165,7 @@ def fixpoint(
     """
     if ix is None:
         ix = build_index(phi)
-    frame = initial_frame(ix, max_free_bits)
+    frame = initial_frame(ix)
     iterations = 0
     while True:
         refined = refine_frame(frame, ix)
@@ -241,29 +237,29 @@ class KdeResult:
         return None if root is None else frame_model(self.frame, self.index, root)
 
 
-def kde_solve(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> KdeResult:
+def kde_solve(phi: Formula) -> KdeResult:
     """Build phi's index and run the fixpoint over it, once."""
     ix = build_index(phi)
-    frame, iterations = fixpoint(phi, max_free_bits, ix)
+    frame, iterations = fixpoint(phi, ix)
     return KdeResult(ix, frame, iterations)
 
 
-def kde_valid(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> bool:
+def kde_valid(phi: Formula) -> bool:
     """Validity over dense frames: the target bit is set in every survivor."""
-    return kde_solve(phi, max_free_bits).valid
+    return kde_solve(phi).valid
 
 
-def kde_sat(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> SatResult:
+def kde_sat(phi: Formula) -> SatResult:
     """Satisfiability over dense frames, with the fixpoint frame as witness.
 
     SAT exactly when some surviving profile sets the target bit; the witness
     is the fixpoint model pointed at the lexicographically smallest such
     profile.
     """
-    witness = kde_solve(phi, max_free_bits).witness()
+    witness = kde_solve(phi).witness()
     return SatResult(UNSAT if witness is None else SAT, witness, None)
 
 
-def counter_model(phi: Formula, max_free_bits: int = FREE_BIT_LIMIT) -> Optional[KripkeModel]:
+def counter_model(phi: Formula) -> Optional[KripkeModel]:
     """For an invalid formula, the fixpoint model pointed at a failing profile."""
-    return kde_solve(phi, max_free_bits).counter_model()
+    return kde_solve(phi).counter_model()

@@ -1,10 +1,11 @@
 """Ground truth at desk scale.
 
-Explicit finite pointed Kripke models, a plain recursive model checker,
-frame-class predicates, exhaustive bounded model search, and a standalone
-validity tableau for plain K.  Nothing in here shares search machinery with
-the solver modules; this module is the independent side of every
-cross-check.
+Explicit finite pointed Kripke models, a model checker that evaluates each
+subformula once over the whole model, frame-class predicates (density is
+weak density with rb read as ra), exhaustive bounded model search, and a
+standalone validity tableau for plain K.  Nothing in here shares search
+machinery with the solver modules; this module is the independent side of
+every cross-check.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .errors import InvariantError
@@ -65,37 +67,28 @@ class KripkeModel:
 
 
 def model_check(model: KripkeModel, world: int, phi: Formula) -> bool:
-    """Standard inductive satisfaction at a world."""
+    """Standard satisfaction at a world: membership in phi's truth set."""
     if world not in model.worlds:
         raise ValueError(f"unknown world {world!r}")
-    if isinstance(phi, Atom):
-        return world in model.valuation.get(phi.name, set())
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Not):
-        return not model_check(model, world, phi.child)
-    if isinstance(phi, And):
-        return model_check(model, world, phi.left) and model_check(
-            model, world, phi.right
-        )
-    rel = model.ra if phi.modality == MOD_A else model.rb
-    return all(
-        model_check(model, t, phi.child) for (s, t) in rel if s == world
-    )
+    return world in truth_set(model, phi)
+
+
+def _successors(worlds: list[int], rel: set[tuple[int, int]]) -> dict[int, set[int]]:
+    succ: dict[int, set[int]] = {w: set() for w in worlds}
+    for s, t in rel:
+        succ[s].add(t)
+    return succ
 
 
 def truth_set(model: KripkeModel, phi: Formula) -> frozenset[int]:
     """All worlds satisfying phi, computed bottom-up over subformulas.
 
-    Equivalent to model_check per world but linear in the model; bulk
-    checks (and bounded_search's self-check) go through this.
+    Each distinct subformula is evaluated once, so the cost is linear in
+    the number of subformulas times the size of the model.
     """
-    succ_a: dict[int, set[int]] = {w: set() for w in model.worlds}
-    succ_b: dict[int, set[int]] = {w: set() for w in model.worlds}
-    for s, t in model.ra:
-        succ_a[s].add(t)
-    for s, t in model.rb:
-        succ_b[s].add(t)
+    everything = frozenset(model.worlds)
+    succ_a = _successors(model.worlds, model.ra)
+    succ_b = _successors(model.worlds, model.rb)
     memo: dict[Formula, frozenset[int]] = {}
 
     def ev(f: Formula) -> frozenset[int]:
@@ -107,7 +100,7 @@ def truth_set(model: KripkeModel, phi: Formula) -> frozenset[int]:
         elif isinstance(f, Falsum):
             out = frozenset()
         elif isinstance(f, Not):
-            out = frozenset(model.worlds) - ev(f.child)
+            out = everything - ev(f.child)
         elif isinstance(f, And):
             out = ev(f.left) & ev(f.right)
         else:
@@ -120,25 +113,20 @@ def truth_set(model: KripkeModel, phi: Formula) -> frozenset[int]:
     return ev(phi)
 
 
+def _weakly_dense(worlds: list[int], ra: set[tuple[int, int]], rb: set[tuple[int, int]]) -> bool:
+    succ_a = _successors(worlds, ra)
+    succ_b = _successors(worlds, rb)
+    return all(any(t in succ_b[u] for u in succ_a[s]) for (s, t) in ra)
+
+
 def is_dense(model: KripkeModel) -> bool:
-    """Every ra edge has an ra-ra midpoint."""
-    succ: dict[int, set[int]] = {w: set() for w in model.worlds}
-    for s, t in model.ra:
-        succ[s].add(t)
-    return all(any(t in succ[u] for u in succ[s]) for (s, t) in model.ra)
+    """Every ra edge has an ra-ra midpoint: weak density with rb read as ra."""
+    return _weakly_dense(model.worlds, model.ra, model.ra)
 
 
 def is_weakly_dense(model: KripkeModel) -> bool:
     """Every ra edge has an ra-rb midpoint."""
-    succ_a: dict[int, set[int]] = {w: set() for w in model.worlds}
-    succ_b: dict[int, set[int]] = {w: set() for w in model.worlds}
-    for s, t in model.ra:
-        succ_a[s].add(t)
-    for s, t in model.rb:
-        succ_b[s].add(t)
-    return all(
-        any(t in succ_b[u] for u in succ_a[s]) for (s, t) in model.ra
-    )
+    return _weakly_dense(model.worlds, model.ra, model.rb)
 
 
 # --------------------------------------------------------------------------
@@ -162,14 +150,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _mask_dense(n: int, succ: tuple[int, ...]) -> bool:
-    for s in range(n):
-        for t in _bits(succ[s]):
-            if not any((succ[u] >> t) & 1 for u in _bits(succ[s])):
-                return False
-    return True
-
-
 def _mask_weakly_dense(n: int, succ_a: tuple[int, ...], succ_b: tuple[int, ...]) -> bool:
     for s in range(n):
         for t in _bits(succ_a[s]):
@@ -180,9 +160,12 @@ def _mask_weakly_dense(n: int, succ_a: tuple[int, ...], succ_b: tuple[int, ...])
 
 @lru_cache(maxsize=None)
 def _dense_masks(n: int) -> tuple[int, ...]:
-    return tuple(
-        m for m in range(1 << (n * n)) if _mask_dense(n, _succ_masks(n, m))
-    )
+    masks = []
+    for m in range(1 << (n * n)):
+        s = _succ_masks(n, m)
+        if _mask_weakly_dense(n, s, s):
+            masks.append(m)
+    return tuple(masks)
 
 
 @lru_cache(maxsize=None)
@@ -196,26 +179,12 @@ def _weakly_dense_mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _frame_masks(n: int, frame_class: str, bimodal: bool) -> Iterator[tuple[int, int]]:
-    total = 1 << (n * n)
+def _frame_masks(n: int, frame_class: str, bimodal: bool) -> Iterable[tuple[int, int]]:
     if frame_class == WEAKLY_DENSE:
-        yield from _weakly_dense_mask_pairs(n)
-    elif frame_class == DENSE:
-        if bimodal:
-            for ra in _dense_masks(n):
-                for rb in range(total):
-                    yield ra, rb
-        else:
-            for ra in _dense_masks(n):
-                yield ra, 0
-    else:
-        if bimodal:
-            for ra in range(total):
-                for rb in range(total):
-                    yield ra, rb
-        else:
-            for ra in range(total):
-                yield ra, 0
+        return _weakly_dense_mask_pairs(n)
+    total = 1 << (n * n)
+    ras = _dense_masks(n) if frame_class == DENSE else range(total)
+    return product(ras, range(total) if bimodal else (0,))
 
 
 def _eval_mask(
@@ -319,7 +288,10 @@ def bounded_search(
 
 
 def _check_found(model: KripkeModel, targets: list[Formula], frame_class: str) -> None:
-    # Double-entry: the bitmask evaluation must agree with the plain checker.
+    # Double-entry: the bitmask evaluation must agree with the set-based
+    # checker.  _eval_mask stays a separate evaluator from truth_set for this
+    # check alone: if one were written in terms of the other, the check would
+    # compare a function with itself.
     for f in targets:
         if not model_check(model, model.root, f):
             raise InvariantError(f"bounded_search result fails model_check on {f}")

@@ -12,17 +12,20 @@ A finished branch has no applicable rule left, does not contain falsum and
 never contains a formula together with its negation.  Boxes are opaque to
 all three rules, so a saturation of a seed has the seed's modal degree.
 
-Enumeration explores the rule applications as a graph over intermediate
-sets, which covers every application order; the disjunction rule is
-blocked once one of its two targets is present, so branches never pad
-themselves with underived material.  An inconsistent seed has no
+The rules are written once, in `_pending`, and explored once, by
+`_branches`: a depth-first search over the graph of intermediate sets,
+which covers every application order.  Enumeration reads every finished
+branch of that search; the membership test runs it restricted to the
+candidate and accepts when it finishes on the candidate.  The disjunction
+rule is blocked once one of its two targets is present, so branches never
+pad themselves with underived material.  An inconsistent seed has no
 saturations at all; callers treat the empty stream as the failed branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .formula import And, FALSUM, Falsum, Formula, Not, csf, set_degree, sort_key
 
@@ -79,16 +82,16 @@ def _pending(members: frozenset[Formula]) -> list[Formula]:
     return moves
 
 
-def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
-    """Enumerate every saturation of the seed, each exactly once.
+def _branches(
+    seed: frozenset[Formula], within: Optional[frozenset[Formula]] = None
+) -> Iterator[frozenset[Formula]]:
+    """Depth-first over the graph of partial branches; yields finished ones.
 
-    Depth-first over the graph of partial branches; the yield order is
-    deterministic.  Yields nothing when the seed is classically
-    inconsistent.
+    A finished branch is a set no rule applies to.  With within set, only
+    moves that add a member of within are taken.  Order matters: a
+    disjunction rule is blocked once fulfilled, so an element may be
+    addable in one run order but not another.
     """
-    seed = frozenset(seed)
-    if _clashes(seed):
-        return
     visited: set[frozenset[Formula]] = set()
     stack: list[frozenset[Formula]] = [seed]
     while stack:
@@ -98,13 +101,26 @@ def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
         visited.add(current)
         moves = _pending(current)
         if not moves:
-            yield Saturation(current, seed)
+            yield current
             continue
         successors = []
         for new in moves:
-            if not _conflicts(current, new):
+            if (within is None or new in within) and not _conflicts(current, new):
                 successors.append(current | {new})
         stack.extend(reversed(successors))
+
+
+def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
+    """Enumerate every saturation of the seed, each exactly once.
+
+    The yield order is deterministic.  Yields nothing when the seed is
+    classically inconsistent.
+    """
+    seed = frozenset(seed)
+    if _clashes(seed):
+        return
+    for members in _branches(seed):
+        yield Saturation(members, seed)
 
 
 def saturation_family(seed: frozenset[Formula]) -> tuple[Saturation, ...]:
@@ -119,44 +135,14 @@ def saturation_family(seed: frozenset[Formula]) -> tuple[Saturation, ...]:
 def is_saturation_of(candidate: Iterable[Formula], seed: Iterable[Formula]) -> bool:
     """Decide whether candidate is a saturation of seed.
 
-    Checks the containment bounds seed <= candidate <= csf(seed), the branch
-    invariants, and that some run of the rules actually produces candidate.
+    Checks the containment bounds seed <= candidate <= csf(seed), that
+    candidate is clash-free and closed under the rules, and that the branch
+    search from seed, restricted to candidate's members, finishes on it.
     """
     candidate = frozenset(candidate)
     seed = frozenset(seed)
-    if not seed <= candidate:
+    if not seed <= candidate <= csf(seed):
         return False
-    if not candidate <= csf(seed):
+    if _clashes(candidate) or _pending(candidate):
         return False
-    if _clashes(candidate):
-        return False
-    for f in candidate:
-        if isinstance(f, And):
-            if f.left not in candidate or f.right not in candidate:
-                return False
-        elif isinstance(f, Not):
-            c = f.child
-            if isinstance(c, Not) and c.child not in candidate:
-                return False
-            if isinstance(c, And):
-                if Not(c.left) not in candidate and Not(c.right) not in candidate:
-                    return False
-    return _reachable(seed, candidate)
-
-
-def _reachable(seed: frozenset[Formula], target: frozenset[Formula]) -> bool:
-    # Order matters: a disjunction rule is blocked once fulfilled, so an
-    # element may be addable in one run order but not another.
-    visited: set[frozenset[Formula]] = set()
-    stack = [seed]
-    while stack:
-        current = stack.pop()
-        if current == target:
-            return True
-        if current in visited:
-            continue
-        visited.add(current)
-        for new in _pending(current):
-            if new in target:
-                stack.append(current | {new})
-    return False
+    return candidate in _branches(seed, within=candidate)

@@ -1,0 +1,131 @@
+"""Test-only references: the oracle's former density tests and frame
+enumeration, and the former saturation membership test.
+
+Density used to be written once per frame class, both over model edge
+sets and over successor bitmasks, and `_frame_masks` had one loop per
+frame class and modality.  `is_saturation_of` used to spell out the
+branch rules' closure conditions itself and then run a search of its own
+for a run of the rules that reaches the candidate.  The oracle and the
+saturation module now write each rule once; the differential tests
+compare them against the functions below.
+"""
+
+from functools import lru_cache
+
+from densemodal import And, Not, csf
+from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _bits, _succ_masks
+from densemodal.saturation import _clashes, _pending
+
+
+def is_dense(model):
+    """Every ra edge has an ra-ra midpoint."""
+    succ = {w: set() for w in model.worlds}
+    for s, t in model.ra:
+        succ[s].add(t)
+    return all(any(t in succ[u] for u in succ[s]) for (s, t) in model.ra)
+
+
+def is_weakly_dense(model):
+    """Every ra edge has an ra-rb midpoint."""
+    succ_a = {w: set() for w in model.worlds}
+    succ_b = {w: set() for w in model.worlds}
+    for s, t in model.ra:
+        succ_a[s].add(t)
+    for s, t in model.rb:
+        succ_b[s].add(t)
+    return all(any(t in succ_b[u] for u in succ_a[s]) for (s, t) in model.ra)
+
+
+def _mask_dense(n, succ):
+    for s in range(n):
+        for t in _bits(succ[s]):
+            if not any((succ[u] >> t) & 1 for u in _bits(succ[s])):
+                return False
+    return True
+
+
+def _mask_weakly_dense(n, succ_a, succ_b):
+    for s in range(n):
+        for t in _bits(succ_a[s]):
+            if not any((succ_b[u] >> t) & 1 for u in _bits(succ_a[s])):
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def dense_masks(n):
+    return tuple(m for m in range(1 << (n * n)) if _mask_dense(n, _succ_masks(n, m)))
+
+
+@lru_cache(maxsize=None)
+def weakly_dense_mask_pairs(n):
+    pairs = []
+    for ra in range(1 << (n * n)):
+        sa = _succ_masks(n, ra)
+        for rb in range(1 << (n * n)):
+            if _mask_weakly_dense(n, sa, _succ_masks(n, rb)):
+                pairs.append((ra, rb))
+    return tuple(pairs)
+
+
+def frame_masks(n, frame_class, bimodal):
+    total = 1 << (n * n)
+    if frame_class == WEAKLY_DENSE:
+        yield from weakly_dense_mask_pairs(n)
+    elif frame_class == DENSE:
+        if bimodal:
+            for ra in dense_masks(n):
+                for rb in range(total):
+                    yield ra, rb
+        else:
+            for ra in dense_masks(n):
+                yield ra, 0
+    else:
+        assert frame_class == ALL
+        if bimodal:
+            for ra in range(total):
+                for rb in range(total):
+                    yield ra, rb
+        else:
+            for ra in range(total):
+                yield ra, 0
+
+
+def is_saturation_of(candidate, seed):
+    """Containment bounds, clash-freeness, closure, then a reaching run."""
+    candidate = frozenset(candidate)
+    seed = frozenset(seed)
+    if not seed <= candidate:
+        return False
+    if not candidate <= csf(seed):
+        return False
+    if _clashes(candidate):
+        return False
+    for f in candidate:
+        if isinstance(f, And):
+            if f.left not in candidate or f.right not in candidate:
+                return False
+        elif isinstance(f, Not):
+            c = f.child
+            if isinstance(c, Not) and c.child not in candidate:
+                return False
+            if isinstance(c, And):
+                if Not(c.left) not in candidate and Not(c.right) not in candidate:
+                    return False
+    return _reachable(seed, candidate)
+
+
+def _reachable(seed, target):
+    visited = set()
+    stack = [seed]
+    while stack:
+        current = stack.pop()
+        if current == target:
+            return True
+        if current in visited:
+            continue
+        visited.add(current)
+        for new in _pending(current):
+            if new in target:
+                stack.append(current | {new})
+    return False

@@ -129,6 +129,17 @@ class TestOracle:
         data = json.loads(lines[1])
         assert data["worlds"] == [0] and data["rb"] == [[0, 0]]
 
+    def test_deep_box_query_answers_fast(self, capsys):
+        # The found model is checked again by the model checker; on a frame
+        # where every world sees both, a per-path checker visits 2**150 paths.
+        text = "<>p & <>~p & [](<>p & <>~p) & " + "[]" * 150 + "q"
+        start = time.monotonic()
+        code, out, _ = run(capsys, "oracle", "--class", "all", "--max-worlds", "2", text)
+        elapsed = time.monotonic() - start
+        assert code == 0 and out.splitlines()[0] == "FOUND"
+        assert json.loads(out.splitlines()[1])["ra"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
     def test_none_within_bound(self, capsys):
         code, out, _ = run(capsys, "oracle", "--class", "all", "--max-worlds", "3", "p & ~p")
         assert (code, out) == (0, "NONE-WITHIN-BOUND\n")

@@ -7,6 +7,7 @@ from densemodal import (
     Atom,
     Box,
     FALSUM,
+    FREE_BIT_LIMIT,
     MOD_A,
     Not,
     SAT,
@@ -107,9 +108,9 @@ class TestInitialFrame:
                 assert x[i] == 0 or y[j] == 1
 
     def test_free_bit_guard(self):
-        phi = parse(" & ".join(f"q{i}" for i in range(6)))
-        with pytest.raises(ValueError):
-            initial_frame(build_index(phi), max_free_bits=5)
+        phi = parse(" & ".join(f"q{i}" for i in range(FREE_BIT_LIMIT + 1)))
+        with pytest.raises(ValueError, match=f"{FREE_BIT_LIMIT + 1} free bits exceed the limit of {FREE_BIT_LIMIT}"):
+            initial_frame(build_index(phi))
 
 
 class TestRefineAndFixpoint:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,9 @@ from densemodal import (
     parse,
     truth_set,
 )
+from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _dense_masks, _frame_masks, _weakly_dense_mask_pairs
 from conftest import random_formula
+import rule_reference as reference
 
 P, Q = Atom("p"), Atom("q")
 
@@ -94,7 +97,49 @@ class TestModelCheck:
                 assert (w in ts) == expected
 
 
+    def test_deep_box_chain_on_a_cycle_is_linear(self):
+        # Every world sees both worlds, so a checker that re-evaluates each
+        # box body per successor visits 2**170 paths.
+        complete = {(s, t) for s in (0, 1) for t in (0, 1)}
+        phi = Q
+        for _ in range(170):
+            phi = Box(MOD_A, phi)
+        start = time.monotonic()
+        assert model_check(KripkeModel([0, 1], complete, set(), {"q": {0, 1}}, 0), 0, phi)
+        assert not model_check(KripkeModel([0, 1], complete, set(), {"q": {0}}, 0), 0, phi)
+        elapsed = time.monotonic() - start
+        assert elapsed < 0.1, f"took {elapsed:.3f}s"
+
+
+def frames(rng):
+    """Every (ra, rb) over up to 2 worlds; every ra over 3 worlds, rb sampled."""
+    for n in (1, 2, 3):
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+        rels = [{pairs[i] for i in range(len(pairs)) if m >> i & 1} for m in range(1 << len(pairs))]
+        for ra in rels:
+            for rb in (rels if n < 3 else [ra, *rng.sample(rels, 3)]):
+                yield KripkeModel(list(range(n)), ra, rb, {}, 0)
+
+
 class TestFrameClasses:
+    def test_density_matches_reference(self):
+        seen = set()
+        for m in frames(random.Random(67)):
+            dense, weak = is_dense(m), is_weakly_dense(m)
+            assert dense == reference.is_dense(m)
+            assert weak == reference.is_weakly_dense(m)
+            seen.add((dense, weak))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_mask_tables_match_reference(self):
+        for n in (1, 2, 3):
+            assert _dense_masks(n) == reference.dense_masks(n)
+            assert _weakly_dense_mask_pairs(n) == reference.weakly_dense_mask_pairs(n)
+            for frame_class in (ALL, DENSE, WEAKLY_DENSE):
+                for bimodal in (False, True):
+                    got = list(_frame_masks(n, frame_class, bimodal))
+                    assert got == list(reference.frame_masks(n, frame_class, bimodal))
+
     def test_empty_relation_is_dense(self):
         assert is_dense(single_world())
         assert is_weakly_dense(single_world())

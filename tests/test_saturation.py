@@ -16,6 +16,7 @@ from densemodal import (
 )
 from densemodal.saturation import is_saturation_of, saturations
 from conftest import random_formula
+import rule_reference as reference
 
 P, Q = Atom("p"), Atom("q")
 
@@ -93,6 +94,24 @@ def brute_force_family(seed):
     return found
 
 
+def membership_cases():
+    """Random seeds, each with every set between it and its closure."""
+    rng = random.Random(31)
+    for _ in range(150):
+        seed = frozenset(
+            random_formula(rng, 5, ["p", "q"], (MOD_A, MOD_B))
+            for _ in range(rng.randint(0, 3))
+        )
+        extras = sorted(csf(seed) - seed, key=sort_key)
+        if len(extras) > 10:
+            continue
+        yield seed, [
+            seed | frozenset(picked)
+            for k in range(len(extras) + 1)
+            for picked in itertools.combinations(extras, k)
+        ]
+
+
 # -- frozen examples ---------------------------------------------------------
 
 
@@ -153,21 +172,28 @@ class TestMembership:
         )
 
     def test_agrees_with_enumeration(self):
-        rng = random.Random(31)
-        for _ in range(150):
-            seed = frozenset(
-                random_formula(rng, 5, ["p", "q"], (MOD_A, MOD_B))
-                for _ in range(rng.randint(0, 3))
-            )
+        for seed, candidates in membership_cases():
             family = members_of(seed)
+            for cand in candidates:
+                assert is_saturation_of(cand, seed) == (cand in family)
+
+    def test_matches_reference(self):
+        for seed, candidates in membership_cases():
+            for cand in candidates:
+                assert is_saturation_of(cand, seed) == reference.is_saturation_of(cand, seed)
+        # Random seeds with their saturations and every set one member away.
+        rng = random.Random(59)
+        for _ in range(2000):
+            seed = frozenset(
+                random_formula(rng, 6, ["p", "q"], (MOD_A, MOD_B))
+                for _ in range(rng.randint(1, 3))
+            )
             universe = csf(seed)
-            extras = sorted(universe - seed, key=sort_key)
-            if len(extras) > 10:
-                continue
-            for k in range(len(extras) + 1):
-                for picked in itertools.combinations(extras, k):
-                    cand = seed | frozenset(picked)
-                    assert is_saturation_of(cand, seed) == (cand in family)
+            for members in members_of(seed):
+                near = [members | {x} for x in universe - members]
+                near += [members - {x} for x in members - seed]
+                for cand in [members, *near]:
+                    assert is_saturation_of(cand, seed) == reference.is_saturation_of(cand, seed)
 
 
 class TestProperties:
