@@ -7,8 +7,14 @@ Formulas nested deeper than formula.MAX_DEPTH (176) levels are parse
 errors, so deep input exits 65 instead of overflowing the stack.  A
 --model file that cannot be written, a negative --max-worlds, --max-size
 or --oracle-worlds, and a translate --fresh guard that is not an atom name
-are usage errors (64).  The kde --stats line comes from the same fixpoint
-run as the verdict and the model.
+are usage errors (64).
+
+Both logics take one solve path: valid mode asks the solver for the
+satisfiability of the negation, so INVALID carries the negation's witness
+as its countermodel.  The solver model-checks and frame-checks every
+witness before it returns, with or without --model, so a witness that
+fails exits 70 before anything is printed.  The --stats line comes from
+the same solve as the verdict and the model.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .errors import InvariantError
 from .formula import (
     BIMODAL,
     Formula,
+    MOD_A,
+    MOD_B,
     Not,
     ParseError,
     UNIMODAL,
@@ -31,19 +39,19 @@ from .formula import (
     parse,
     render,
 )
-# cli calls only kde_solve and frame_model; densebench/layers.py also wraps
-# build_index, counter_model, fixpoint and kde_sat as cli call sites.
-from .kde import build_index, counter_model, fixpoint, frame_model, kde_sat, kde_solve  # noqa: F401
-from .kdeab import BoundPolicy, SAT, UNSAT, sat_set
+from .kde import KdeResult, frame_model, kde_sat, kde_solve
+from .kdeab import BoundPolicy, SAT, sat_set
 from .oracle import (
     KripkeModel,
     bounded_search,
     is_dense,
-    model_check,
     model_json_text,
     search_is_bimodal,
     truth_set,
 )
+# cli does not call these; densebench/layers.py wraps them as cli call sites.
+from .kde import build_index, counter_model, fixpoint  # noqa: F401
+from .oracle import model_check  # noqa: F401
 from .translate import fresh_atom, relativize
 
 _CORPUS_ATOMS = ("p", "q", "r", "s")
@@ -124,58 +132,20 @@ def _check_nonnegative(flag: str, value: int) -> None:
 
 
 def _cmd_solve(args) -> int:
-    lang = UNIMODAL if args.logic == "kde" else BIMODAL
-    phi = parse(args.formula, lang)
-    if args.logic == "kde":
-        return _solve_kde(args, phi)
-    return _solve_kdeab(args, phi)
-
-
-def _kde_answer(args, phi: Formula) -> tuple[str, dict, Optional[KripkeModel]]:
-    """The verdict, the stats and the model to check and write, from one solve.
-
-    Only these outlive the call, so the fixpoint frame is freed before the
-    model is checked and serialized.
-    """
-    result = kde_solve(phi)
-    if args.mode == "sat":
-        witness = result.witness()
-        return (UNSAT if witness is None else SAT), result.stats, witness
-    if result.valid:
-        return "VALID", result.stats, None
-    return "INVALID", result.stats, result.counter_model() if args.model else None
-
-
-def _solve_kde(args, phi: Formula) -> int:
-    verdict, stats, model = _kde_answer(args, phi)
-    print(verdict)
-    if args.stats:
-        print(json.dumps(stats, sort_keys=True))
-    if model is None:
-        return 0
-    sat = args.mode == "sat"
-    if model_check(model, model.root, phi) != sat:
-        raise InvariantError("witness fails model_check" if sat else "countermodel does not falsify the formula")
-    if not is_dense(model):
-        raise InvariantError(f"{'witness' if sat else 'countermodel'} frame is not dense")
-    if args.model:
-        _write_model(args.model, model, include_rb=False)
-    return 0
-
-
-def _solve_kdeab(args, phi: Formula) -> int:
-    policy = BoundPolicy(mode=args.bound)
-    memo = not args.no_memo
+    phi = parse(args.formula, UNIMODAL if args.logic == "kde" else BIMODAL)
     query = phi if args.mode == "sat" else Not(phi)
-    result = sat_set({query}, policy=policy, memo=memo)
+    if args.logic == "kde":
+        result = kde_sat(query)
+    else:
+        result = sat_set({query}, BoundPolicy(args.bound), memo=not args.no_memo)
     if args.mode == "sat":
         print(result.verdict)
     else:
-        print("VALID" if result.verdict != SAT else "INVALID")
+        print("INVALID" if result.verdict == SAT else "VALID")
     if args.stats:
-        print(json.dumps(result.stats.as_dict(), sort_keys=True))
+        print(json.dumps(result.stats, sort_keys=True))
     if args.model and result.witness is not None:
-        _write_model(args.model, result.witness, include_rb=True)
+        _write_model(args.model, result.witness, include_rb=args.logic == "kdeab")
     return 0
 
 
@@ -220,89 +190,60 @@ def _corpus_names(count: int) -> tuple[str, ...]:
     return _CORPUS_ATOMS[:count]
 
 
-def run_kde_corpus(max_size: int, atoms: int, oracle_worlds: int) -> tuple[list[str], bool]:
-    """Cross-validate the dense-logic solver against the oracle.
+def _fixpoint_failures(result: KdeResult, phi: Formula) -> list[str]:
+    """kde's checks of the whole fixpoint frame, beyond the witness.
 
-    Checks, for every unimodal formula up to the size bound: the fixpoint
-    frame is nonempty and dense, every profile satisfies exactly its bits,
-    SAT witnesses check out, and the oracle never finds a dense model for a
-    formula the solver rejects.
+    The frame is dense, and every profile satisfies exactly its own bits.
+    """
+    frame, ix = result.frame, result.index
+    order = sorted(frame.profiles)
+    base = frame_model(frame, ix, order[0])
+    failures = [] if is_dense(base) else [f"fixpoint frame not dense: {phi}"]
+    for i, entry in enumerate(ix.entries):
+        holds = truth_set(base, entry)
+        if any((world in holds) != (p[i] == 1) for world, p in enumerate(order)):
+            failures.append(f"profile bit mismatch: {phi} at entry {i}")
+    return failures
+
+
+def run_corpus(logic: str, max_size: int, atoms: int, oracle_worlds: int) -> tuple[list[str], bool]:
+    """Cross-validate one logic's solver against the oracle.
+
+    For every formula up to the size bound, of one modality for kde and of
+    two for kdeab: the solver answers without an InvariantError (every SAT
+    witness is checked inside the solver, so a bad one counts here), kde's
+    fixpoint frame passes _fixpoint_failures, and the oracle never finds a
+    model in the logic's frame class for a formula the solver rejects.
     """
     names = _corpus_names(atoms)
-    formulas = all_formulas(max_size, names)
-    sat_count = 0
-    oracle_found = 0
-    failures: list[str] = []
-    for phi in formulas:
-        result = kde_solve(phi)
-        ix, frame = result.index, result.frame
-        if not frame.profiles:
-            failures.append(f"empty fixpoint: {phi}")
-            continue
-        base = frame_model(frame, ix, min(frame.profiles))
-        if not is_dense(base):
-            failures.append(f"fixpoint frame not dense: {phi}")
-        order = sorted(frame.profiles)
-        ids = {p: i for i, p in enumerate(order)}
-        for i, entry in enumerate(ix.entries):
-            holds = truth_set(base, entry)
-            for p in order:
-                if (ids[p] in holds) != (p[i] == 1):
-                    failures.append(f"profile bit mismatch: {phi} at entry {i}")
-                    break
-        witness = result.witness()
-        if witness is not None:
-            sat_count += 1
-            if not model_check(witness, witness.root, phi) or not is_dense(witness):
-                failures.append(f"bad witness: {phi}")
-        found = bounded_search({phi}, "dense", max_worlds=oracle_worlds, max_atoms=atoms)
-        if found is not None:
-            oracle_found += 1
-            if witness is None:
-                failures.append(f"oracle found a dense model but solver said UNSAT: {phi}")
-    lines = [
-        f"corpus kde: max-size={max_size} atoms={atoms} oracle-worlds={oracle_worlds}",
-        f"formulas: {len(formulas)}",
-        f"solver sat: {sat_count} unsat: {len(formulas) - sat_count}",
-        f"oracle found: {oracle_found} none-within-bound: {len(formulas) - oracle_found}",
-        f"violations: {len(failures)}",
-    ]
-    lines.extend(f"  {f}" for f in failures[:20])
-    return lines, not failures
-
-
-def run_kdeab_corpus(max_size: int, atoms: int, oracle_worlds: int) -> tuple[list[str], bool]:
-    """Cross-validate the weak-density solver against the oracle.
-
-    One direction is exact: whenever the oracle finds a weakly dense model
-    within the bound, the solver must answer SAT.  The other direction is a
-    complete certificate: every SAT verdict ships a witness that is checked
-    internally, so a bad one raises and is counted here.
-    """
-    names = _corpus_names(atoms)
-    formulas = all_formulas(max_size, names, modalities=("a", "b"))
+    kde = logic == "kde"
+    frame_class = "dense" if kde else "weakly_dense"
+    formulas = all_formulas(max_size, names, modalities=(MOD_A,) if kde else (MOD_A, MOD_B))
     sat_count = 0
     oracle_found = 0
     failures: list[str] = []
     for phi in formulas:
         try:
-            result = sat_set({phi})
+            if kde:
+                result = kde_solve(phi)
+                failures.extend(_fixpoint_failures(result, phi))
+                witness = result.witness()
+            else:
+                witness = sat_set({phi}).witness
         except InvariantError as exc:
-            failures.append(f"witness verification failed: {phi}: {exc}")
+            failures.append(f"solver invariant violated: {phi}: {exc}")
             continue
-        if result.verdict == SAT:
+        if witness is not None:
             sat_count += 1
-        found = bounded_search(
-            {phi}, "weakly_dense", max_worlds=oracle_worlds, max_atoms=atoms
-        )
+        found = bounded_search({phi}, frame_class, max_worlds=oracle_worlds, max_atoms=atoms)
         if found is not None:
             oracle_found += 1
-            if result.verdict != SAT:
+            if witness is None:
                 failures.append(
-                    f"oracle found a weakly dense model but solver said UNSAT: {phi}"
+                    f"oracle found a {frame_class.replace('_', ' ')} model but solver said UNSAT: {phi}"
                 )
     lines = [
-        f"corpus kdeab: max-size={max_size} atoms={atoms} oracle-worlds={oracle_worlds}",
+        f"corpus {logic}: max-size={max_size} atoms={atoms} oracle-worlds={oracle_worlds}",
         f"formulas: {len(formulas)}",
         f"solver sat: {sat_count} unsat: {len(formulas) - sat_count}",
         f"oracle found: {oracle_found} none-within-bound: {len(formulas) - oracle_found}",
@@ -315,8 +256,7 @@ def run_kdeab_corpus(max_size: int, atoms: int, oracle_worlds: int) -> tuple[lis
 def _cmd_corpus(args) -> int:
     _check_nonnegative("--max-size", args.max_size)
     _check_nonnegative("--oracle-worlds", args.oracle_worlds)
-    runner = run_kde_corpus if args.logic == "kde" else run_kdeab_corpus
-    lines, ok = runner(args.max_size, args.atoms, args.oracle_worlds)
+    lines, ok = run_corpus(args.logic, args.max_size, args.atoms, args.oracle_worlds)
     for line in lines:
         print(line)
     print("CORPUS PASS" if ok else "CORPUS FAIL")

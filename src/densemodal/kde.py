@@ -8,8 +8,17 @@ box-respecting relation, one refinement step removes profiles whose false
 boxes have no falsifying successor and edges without a midpoint.  The
 refinement shrinks a finite structure, so it reaches a fixpoint; the
 fixpoint frame is dense, its profiles satisfy exactly their own bits, and
-the target is valid over dense frames exactly when every surviving profile
-has the target bit set.
+the target is satisfiable over dense frames exactly when some surviving
+profile has the target bit set.
+
+Validity is satisfiability of the negation.  The index of ~phi is phi's
+index plus ~phi itself, which adds no free bit, so its profiles are phi's
+with a complement bit appended: the frames, counts and the lexicographic
+order agree, and the least profile setting ~phi is the least profile
+clearing phi.  Every SAT answer carries the fixpoint model pointed at the
+least profile setting the target bit, model-checked at the root and
+frame-checked for density before it is returned; a witness that fails
+raises InvariantError.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .formula import (
     is_unimodal,
 )
 from .kdeab import SAT, UNSAT, SatResult
-from .oracle import KripkeModel
+from .oracle import KripkeModel, is_dense, model_check
 
 Profile = tuple[int, ...]
 
@@ -201,7 +210,7 @@ def frame_model(frame: ProfileFrame, ix: SubformulaIndex, root: Profile) -> Krip
 
 @dataclass(frozen=True)
 class KdeResult:
-    """One fixpoint run over one target: the verdicts, models and stats all read it."""
+    """One fixpoint run over one target: the verdict, the model and the stats all read it."""
 
     index: SubformulaIndex
     frame: ProfileFrame
@@ -216,25 +225,22 @@ class KdeResult:
             "profiles": len(self.frame.profiles),
         }
 
-    @property
-    def valid(self) -> bool:
-        """Validity over dense frames: the target bit is set in every survivor."""
-        return self._least(0) is None
-
     def witness(self) -> Optional[KripkeModel]:
-        """The fixpoint model pointed at the least profile setting the target bit."""
-        return self._pointed(self._least(1))
+        """The fixpoint model pointed at the least profile setting the target bit.
 
-    def counter_model(self) -> Optional[KripkeModel]:
-        """The fixpoint model pointed at the least profile clearing the target bit."""
-        return self._pointed(self._least(0))
-
-    def _least(self, bit: int) -> Optional[Profile]:
+        The model is checked before it is returned: the target must hold at
+        its root and its frame must be dense, or InvariantError is raised.
+        """
         last = self.index.n - 1
-        return min((p for p in self.frame.profiles if p[last] == bit), default=None)
-
-    def _pointed(self, root: Optional[Profile]) -> Optional[KripkeModel]:
-        return None if root is None else frame_model(self.frame, self.index, root)
+        root = min((p for p in self.frame.profiles if p[last] == 1), default=None)
+        if root is None:
+            return None
+        model = frame_model(self.frame, self.index, root)
+        if not model_check(model, model.root, self.index.target):
+            raise InvariantError(f"kde witness fails model_check on {self.index.target}")
+        if not is_dense(model):
+            raise InvariantError("kde witness frame is not dense")
+        return model
 
 
 def kde_solve(phi: Formula) -> KdeResult:
@@ -244,22 +250,23 @@ def kde_solve(phi: Formula) -> KdeResult:
     return KdeResult(ix, frame, iterations)
 
 
-def kde_valid(phi: Formula) -> bool:
-    """Validity over dense frames: the target bit is set in every survivor."""
-    return kde_solve(phi).valid
-
-
 def kde_sat(phi: Formula) -> SatResult:
-    """Satisfiability over dense frames, with the fixpoint frame as witness.
+    """Satisfiability over dense frames, with a checked witness and the stats.
 
     SAT exactly when some surviving profile sets the target bit; the witness
     is the fixpoint model pointed at the lexicographically smallest such
-    profile.
+    profile, model-checked and frame-checked by KdeResult.witness.
     """
-    witness = kde_solve(phi).witness()
-    return SatResult(UNSAT if witness is None else SAT, witness, None)
+    result = kde_solve(phi)
+    witness = result.witness()
+    return SatResult(UNSAT if witness is None else SAT, witness, result.stats)
+
+
+def kde_valid(phi: Formula) -> bool:
+    """Validity over dense frames: the negation is unsatisfiable."""
+    return kde_sat(Not(phi)).verdict == UNSAT
 
 
 def counter_model(phi: Formula) -> Optional[KripkeModel]:
-    """For an invalid formula, the fixpoint model pointed at a failing profile."""
-    return kde_solve(phi).counter_model()
+    """For an invalid formula, the checked witness of its negation."""
+    return kde_sat(Not(phi)).witness

@@ -23,7 +23,8 @@ Every SAT verdict is converted into an explicit finite model (worlds are
 the distinct saturations the accepted search touched, chains close their
 loops with b-edges) and verified against the model checker before being
 reported; a verdict whose witness fails verification raises InvariantError
-rather than returning.
+rather than returning.  Results carry the search counters as the dict that
+`solve --stats` prints.
 """
 
 from __future__ import annotations
@@ -78,26 +79,18 @@ class BoundPolicy:
     LASSO accepts on a repeated window.  COUNTER accepts once budget many
     windows with satisfiable heads line up; with counter_bound of the
     anchor as the budget, that accepts the same chains as LASSO.
-    counter_value pins a non-negative budget instead, which only
-    sat_window_chain honours; a budget of 0 accepts at once.
     """
 
     mode: str = LASSO
-    counter_value: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.mode not in (LASSO, COUNTER):
             raise ValueError(f"unknown bound mode {self.mode!r}")
-        if self.counter_value is not None:
-            if self.mode != COUNTER:
-                raise ValueError("counter_value needs the counter bound mode")
-            if self.counter_value < 0:
-                raise ValueError(f"counter_value must not be negative, got {self.counter_value}")
 
 
 @dataclass
 class SatStats:
-    """Search counters.
+    """The search's mutable counters; results carry them as_dict().
 
     saturations counts candidates consumed at choice points, windows counts
     windows entered across all chain searches, max_depth is the deepest
@@ -118,9 +111,11 @@ class SatStats:
 
 @dataclass(frozen=True)
 class SatResult:
+    """A verdict, its checked witness (None unless SAT) and the `--stats` dict."""
+
     verdict: str
     witness: Optional[KripkeModel]
-    stats: Optional[SatStats]
+    stats: dict
 
 
 @dataclass
@@ -316,15 +311,6 @@ def _verified_witness(trace: Trace, at_root: Iterable[Formula]) -> KripkeModel:
     return model
 
 
-def _solve_policy(policy: Optional[BoundPolicy]) -> BoundPolicy:
-    """Full solves take every budget from counter_bound, never a pinned one."""
-    if policy is None:
-        return BoundPolicy()
-    if policy.counter_value is not None:
-        raise ValueError("counter_value is only honoured by sat_window_chain")
-    return policy
-
-
 def sat_set(
     formulas: Iterable[Formula],
     policy: Optional[BoundPolicy] = None,
@@ -336,13 +322,13 @@ def sat_set(
     carries a verified witness model and search statistics.
     """
     targets = frozenset(formulas)
-    search = _Search(_solve_policy(policy), memo)
+    search = _Search(policy or BoundPolicy(), memo)
     for cand in search.family(targets):
         trace = search.sat_members(cand.members, 0)
         if trace is not None:
             model = _verified_witness(trace, targets)
-            return SatResult(SAT, model, search.stats)
-    return SatResult(UNSAT, None, search.stats)
+            return SatResult(SAT, model, search.stats.as_dict())
+    return SatResult(UNSAT, None, search.stats.as_dict())
 
 
 def sat_saturation(
@@ -353,30 +339,32 @@ def sat_saturation(
     """Satisfiability of a single saturation (diamond by diamond)."""
     if not is_saturation_of(saturation.members, saturation.seed):
         raise ValueError("not a valid saturation of its seed")
-    search = _Search(_solve_policy(policy), memo)
+    search = _Search(policy or BoundPolicy(), memo)
     trace = search.sat_members(saturation.members, 0)
     if trace is None:
-        return SatResult(UNSAT, None, search.stats)
+        return SatResult(UNSAT, None, search.stats.as_dict())
     model = _verified_witness(trace, saturation.members)
-    return SatResult(SAT, model, search.stats)
+    return SatResult(SAT, model, search.stats.as_dict())
 
 
 def sat_window_chain(
     window: _windows.Window,
     policy: Optional[BoundPolicy] = None,
     memo: bool = True,
+    *,
+    budget: Optional[int] = None,
 ) -> bool:
     """Whether a window chain starting here can be completed.
 
-    This is the one entry point that honours an explicit counter_value on
-    the policy.  Both modes read one lasso search: lasso mode accepts on a
-    lasso, counter mode also when the longest chain reaches the budget,
-    which is exact because without a lasso the search walked every chain.
+    Both modes read one lasso search: lasso mode accepts on a lasso,
+    counter mode also when the longest chain reaches the budget, which is
+    exact because without a lasso the search walked every chain.  budget
+    is counter mode's chain length, counter_bound of the anchor unless
+    given; a budget of 0 always accepts, and lasso mode does not read it.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget}")
     policy = policy or BoundPolicy()
-    budget = policy.counter_value
-    if budget == 0:
-        return True
     chain, longest = _Search(policy, memo).lasso_chain(window, 0)
     if chain is not None or policy.mode == LASSO:
         return chain is not None

@@ -136,13 +136,15 @@ def is_saturation_of(candidate: Iterable[Formula], seed: Iterable[Formula]) -> b
     """Decide whether candidate is a saturation of seed.
 
     Checks the containment bounds seed <= candidate <= csf(seed), that
-    candidate is clash-free and closed under the rules, and that the branch
-    search from seed, restricted to candidate's members, finishes on it.
+    candidate is clash-free, and that the branch search from seed,
+    restricted to candidate's members, finishes on it.  That search only
+    finishes on sets no rule applies to, so closedness needs no test of its
+    own; a clashing seed would finish on itself, hence the clash test.
     """
     candidate = frozenset(candidate)
     seed = frozenset(seed)
     if not seed <= candidate <= csf(seed):
         return False
-    if _clashes(candidate) or _pending(candidate):
+    if _clashes(candidate):
         return False
     return candidate in _branches(seed, within=candidate)

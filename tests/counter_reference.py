@@ -100,8 +100,8 @@ def reference_sat_set(formulas, memo: bool = True) -> SatResult:
     for cand in search.family(targets):
         trace = search.sat_members(cand.members, 0)
         if trace is not None:
-            return SatResult(SAT, _verified_witness(trace, targets), search.stats)
-    return SatResult(UNSAT, None, search.stats)
+            return SatResult(SAT, _verified_witness(trace, targets), search.stats.as_dict())
+    return SatResult(UNSAT, None, search.stats.as_dict())
 
 
 def reference_window_chain(window, budget: Optional[int], memo: bool = True) -> bool:

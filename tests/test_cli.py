@@ -10,6 +10,7 @@ import pytest
 
 import densemodal
 import densemodal.kde as kde_module
+import densemodal.kdeab as kdeab_module
 from densemodal import (
     UNIMODAL,
     build_index,
@@ -239,6 +240,71 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (64, "")
         assert err.startswith("usage error: --") and "must not be negative" in err
+
+
+# A self-check that fails: each solver's own model checker or frame test
+# rejects every witness.
+BROKEN_CHECKS = [
+    (kde_module, "model_check"),
+    (kde_module, "is_dense"),
+    (kdeab_module, "model_check"),
+    (kdeab_module, "is_weakly_dense"),
+]
+
+# Per logic: a satisfiable formula, an invalid one and an unsatisfiable one.
+SELF_CHECK_CASES = {
+    "kde": ("<>p & ~p", "[]p -> p", "p & ~p"),
+    "kdeab": ("~[a]p", "[a]p -> p", "p & ~p"),
+}
+
+
+class TestSelfCheckFailure:
+    @pytest.mark.parametrize("module, name", BROKEN_CHECKS)
+    def test_a_bad_witness_exits_70_before_printing(self, capsys, monkeypatch, tmp_path, module, name):
+        monkeypatch.setattr(module, name, lambda *args: False)
+        logic = "kde" if module is kde_module else "kdeab"
+        sat_text, invalid_text, unsat_text = SELF_CHECK_CASES[logic]
+        path = tmp_path / "model.json"
+        queries = (("sat", sat_text), ("valid", invalid_text))
+        for (mode, text), stats, model in product(queries, (False, True), (False, True)):
+            argv = ["solve", "--logic", logic, "--mode", mode] + ["--stats"] * stats
+            argv += ["--model", str(path)] * model
+            code, out, err = run(capsys, *argv, text)
+            assert (code, out) == (70, ""), argv
+            assert err.startswith("internal invariant violation: "), argv
+            assert not path.exists()
+        # Answers without a witness have nothing to check.
+        assert run(capsys, "solve", "--logic", logic, "--mode", "sat", unsat_text) == (0, "UNSAT\n", "")
+        valid_text = f"~({unsat_text})"
+        assert run(capsys, "solve", "--logic", logic, "--mode", "valid", valid_text) == (0, "VALID\n", "")
+
+    @pytest.mark.parametrize("module, name", BROKEN_CHECKS)
+    def test_the_corpus_counts_it_as_a_violation(self, capsys, monkeypatch, module, name):
+        monkeypatch.setattr(module, name, lambda *args: False)
+        logic = "kde" if module is kde_module else "kdeab"
+        code, out, _ = run(
+            capsys, "corpus", "--logic", logic, "--max-size", "2", "--atoms", "1", "--oracle-worlds", "1",
+        )
+        lines = out.splitlines()
+        assert (code, lines[-1]) == (0, "CORPUS FAIL")
+        assert any(line.startswith("  solver invariant violated: ") for line in lines)
+
+    @pytest.mark.parametrize("module, name", BROKEN_CHECKS)
+    def test_the_library_raises(self, monkeypatch, module, name):
+        monkeypatch.setattr(module, name, lambda *args: False)
+        if module is kde_module:
+            sat_text, invalid_text, _ = SELF_CHECK_CASES["kde"]
+            for call in (
+                lambda: densemodal.kde_sat(parse(sat_text)),
+                lambda: densemodal.kde_valid(parse(invalid_text)),
+                lambda: densemodal.counter_model(parse(invalid_text)),
+            ):
+                with pytest.raises(densemodal.InvariantError):
+                    call()
+        else:
+            sat_text, _, _ = SELF_CHECK_CASES["kdeab"]
+            with pytest.raises(densemodal.InvariantError):
+                densemodal.sat_set({parse(sat_text, "bimodal")})
 
 
 DEEP_COMMANDS = {

@@ -235,8 +235,7 @@ class TestKdeSolve:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(kde_module, name, counted)
-        result = kde_solve(parse("<>p & []q -> <>(p & q)"))
-        result.stats, result.valid, result.witness(), result.counter_model()
+        kde_sat(parse("<>p & []q -> <>(p & q)"))
         assert calls == {"build_index": 1, "fixpoint": 1}
 
     def test_reads_agree_with_the_fixpoint(self):
@@ -252,8 +251,13 @@ class TestKdeSolve:
                 "iterations": iterations,
                 "profiles": len(frame.profiles),
             }
-            assert result.valid == kde_valid(phi)
-            assert result.witness() == kde_sat(phi).witness
-            assert result.counter_model() == counter_model(phi)
-            assert (result.witness() is None) == (kde_sat(phi).verdict == UNSAT)
-            assert (result.counter_model() is None) == result.valid
+            sat = kde_sat(phi)
+            assert (sat.witness, sat.stats) == (result.witness(), result.stats)
+            assert (sat.witness is None) == (sat.verdict == UNSAT)
+            # Valid mode is SAT of the negation; it reads the same frame as
+            # phi's own fixpoint, pointed at the least profile clearing phi.
+            misses = sorted(p for p in frame.profiles if p[-1] == 0)
+            assert kde_valid(phi) == (not misses)
+            expected = frame_model(frame, ix, misses[0]) if misses else None
+            assert counter_model(phi) == expected
+            assert kde_sat(Not(phi)).stats == result.stats

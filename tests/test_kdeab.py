@@ -138,7 +138,7 @@ class TestSatSet:
         for _ in range(80):
             phi = random_formula(rng, 7, ["p", "q"], (MOD_A, MOD_B))
             result = sat_set({phi})
-            assert result.stats.max_depth <= set_degree({phi})
+            assert result.stats["max_depth"] <= set_degree({phi})
 
 
 class TestSatSaturation:
@@ -155,11 +155,6 @@ class TestSatSaturation:
         bad = frozenset({Not(Not(P))})
         with pytest.raises(ValueError):
             sat_saturation(Saturation(bad, bad))
-
-    def test_pinned_counter_value_rejected(self):
-        # Full solves take every budget from counter_bound.
-        with pytest.raises(ValueError, match="counter_value"):
-            sat_saturation(WORKED, BoundPolicy(COUNTER, counter_value=5))
 
     def test_counter_bound_of_worked_anchor(self):
         # csf(sf(w)) has six elements and the degree is one: 2**(6*2).
@@ -184,11 +179,11 @@ def chain_graph(monkeypatch, edges):
 class TestWindowChain:
     def test_zero_budget_accepts(self):
         start = next(iter(initial_windows(WORKED, Not(P))))
-        assert sat_window_chain(start, BoundPolicy(COUNTER, counter_value=0))
+        assert sat_window_chain(start, BoundPolicy(COUNTER), budget=0)
 
     def test_one_budget_accepts_sat_head(self):
         start = next(iter(initial_windows(WORKED, Not(P))))
-        assert sat_window_chain(start, BoundPolicy(COUNTER, counter_value=1))
+        assert sat_window_chain(start, BoundPolicy(COUNTER), budget=1)
 
     def test_worked_chain_accepts_in_both_modes(self):
         start = next(iter(initial_windows(WORKED, Not(P))))
@@ -213,7 +208,7 @@ class TestWindowChain:
             for body in _diamond_bodies(members, MOD_A):
                 for start in initial_windows(anchor, Not(body)):
                     for budget in budgets:
-                        got = sat_window_chain(start, BoundPolicy(COUNTER, counter_value=budget))
+                        got = sat_window_chain(start, BoundPolicy(COUNTER), budget=budget)
                         assert got == reference_window_chain(start, budget), (members, budget)
                         compared += 1
         assert compared > 400
@@ -223,7 +218,7 @@ class TestWindowChain:
         # three windows, and counter_bound(WORKED) is 4096.
         start = chain_graph(monkeypatch, [(0, 1), (1, 2), (0, 3)])
         for budget, accepts in [(0, True), (1, True), (2, True), (3, True), (4, False), (None, False)]:
-            assert sat_window_chain(start, BoundPolicy(COUNTER, counter_value=budget)) is accepts
+            assert sat_window_chain(start, BoundPolicy(COUNTER), budget=budget) is accepts
             assert reference_window_chain(start, budget) is accepts
         assert not sat_window_chain(start)
 
@@ -231,7 +226,7 @@ class TestWindowChain:
         start = chain_graph(monkeypatch, [(0, 1), (1, 2), (2, 1)])
         assert sat_window_chain(start)
         for budget in (0, 1, 2, 3, 4, None):
-            assert sat_window_chain(start, BoundPolicy(COUNTER, counter_value=budget))
+            assert sat_window_chain(start, BoundPolicy(COUNTER), budget=budget)
             assert reference_window_chain(start, budget)
 
     def test_a_bound_below_the_window_count_is_caught(self, monkeypatch):
@@ -291,18 +286,9 @@ class TestBoundAgreement:
             BoundPolicy(mode="bogus")
 
     def test_negative_counter_value_rejected(self):
+        start = next(iter(initial_windows(WORKED, Not(P))))
         with pytest.raises(ValueError, match="negative"):
-            BoundPolicy(COUNTER, counter_value=-1)
-
-    def test_counter_value_needs_counter_mode(self):
-        with pytest.raises(ValueError, match="counter"):
-            BoundPolicy(LASSO, counter_value=3)
-        with pytest.raises(ValueError, match="counter"):
-            BoundPolicy(counter_value=0)
-
-    def test_full_solves_reject_a_pinned_counter_value(self):
-        with pytest.raises(ValueError, match="counter_value"):
-            sat_set({bi("~[a]p")}, BoundPolicy(COUNTER, counter_value=5))
+            sat_window_chain(start, BoundPolicy(COUNTER), budget=-1)
 
 
 class TestMemory:
