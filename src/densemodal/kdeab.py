@@ -92,9 +92,12 @@ class BoundPolicy:
 class SatStats:
     """The search's mutable counters; results carry them as_dict().
 
-    saturations counts candidates consumed at choice points, windows counts
-    windows entered across all chain searches, max_depth is the deepest
-    recursive successor problem (the root counts as depth 0).
+    saturations sums the sizes of the saturation families the search
+    computes: the top-level set's and each b-diamond seed's, whether or not
+    every member is tried (window parts, enumerated by the windows module,
+    are not counted).  windows counts windows entered across all chain
+    searches, max_depth is the deepest recursive successor problem (the
+    root counts as depth 0).
     """
 
     saturations: int = 0

@@ -366,4 +366,23 @@ def model_from_json(data: dict) -> KripkeModel:
 
 
 def model_json_text(model: KripkeModel, include_rb: bool = True) -> str:
-    return json.dumps(model_to_json(model, include_rb), sort_keys=True)
+    """json.dumps(model_to_json(model, include_rb), sort_keys=True), written directly.
+
+    Worlds are ints, so the text is formatted without building a list per
+    edge first; only atom names go through json.dumps.
+    """
+
+    def ints(ws) -> str:
+        return "[" + ", ".join(map(str, sorted(ws))) + "]"
+
+    def pairs(rel) -> str:
+        return "[" + ", ".join(f"[{s}, {t}]" for s, t in sorted(rel)) + "]"
+
+    val = ", ".join(
+        f"{json.dumps(name)}: {ints(ws)}" for name, ws in sorted(model.valuation.items())
+    )
+    rb = f'"rb": {pairs(model.rb)}, ' if include_rb else ""
+    return (
+        f'{{"ra": {pairs(model.ra)}, {rb}"root": {model.root}, '
+        f'"val": {{{val}}}, "worlds": {ints(model.worlds)}}}'
+    )

@@ -12,14 +12,19 @@ A finished branch has no applicable rule left, does not contain falsum and
 never contains a formula together with its negation.  Boxes are opaque to
 all three rules, so a saturation of a seed has the seed's modal degree.
 
-The rules are written once, in `_pending`, and explored once, by
-`_branches`: a depth-first search over the graph of intermediate sets,
-which covers every application order.  Enumeration reads every finished
-branch of that search; the membership test runs it restricted to the
-candidate and accepts when it finishes on the candidate.  The disjunction
-rule is blocked once one of its two targets is present, so branches never
-pad themselves with underived material.  An inconsistent seed has no
-saturations at all; callers treat the empty stream as the failed branch.
+Every set the rules reach lies in the seed's classical closure csf(seed),
+and so does every formula a rule adds or a clash test asks for.  The rules
+and clashes are therefore written once, in `_table`, which lists the
+closure in sort_key order with each member's rule and clashes; it is built
+once per search and read by `_pending` and `_conflicts` at every visited
+set.  `_branches` explores them: a depth-first search over the graph of
+intermediate sets, which covers every application order.  Enumeration
+reads every finished branch of that search; the membership test runs it
+restricted to the candidate and accepts when it finishes on the candidate.
+The disjunction rule is blocked once one of its two targets is present, so
+branches never pad themselves with underived material.  An inconsistent
+seed has no saturations at all; callers treat the empty stream as the
+failed branch.
 """
 
 from __future__ import annotations
@@ -48,50 +53,70 @@ def _clashes(members: frozenset[Formula]) -> bool:
     return any(isinstance(f, Not) and f.child in members for f in members)
 
 
-def _conflicts(members: frozenset[Formula], new: Formula) -> bool:
-    if isinstance(new, Falsum):
-        return True
-    if isinstance(new, Not) and new.child in members:
-        return True
-    return Not(new) in members
+# A rule: the formula it fires on, what it adds, and whether any one added
+# formula being present already blocks it (the disjunction rule).
+_Rule = tuple[Formula, tuple[Formula, ...], bool]
+# The formulas each closure formula clashes with, falsum aside.
+_Clash = dict[Formula, tuple[Formula, ...]]
 
 
-def _pending(members: frozenset[Formula]) -> list[Formula]:
-    """Formulas a rule could still add, in deterministic order."""
-    moves: list[Formula] = []
-    seen: set[Formula] = set()
+def _table(closure: frozenset[Formula]) -> tuple[list[_Rule], _Clash]:
+    """The rules of the closure's members, in sort_key order, and their clashes.
 
-    def push(f: Formula) -> None:
-        if f not in members and f not in seen:
-            seen.add(f)
-            moves.append(f)
-
-    for f in sorted(members, key=sort_key):
+    A formula clashes with its child if it is a negation and with its
+    negation if that lies in the closure; falsum clashes with everything
+    (`_conflicts`).  The closure holds ~phi and ~psi for each ~(phi & psi)
+    in it, so the table builds no formula.
+    """
+    negation = {f.child: f for f in closure if isinstance(f, Not)}
+    rules: list[_Rule] = []
+    clash: _Clash = {}
+    for f in sorted(closure, key=sort_key):
+        partners = (f.child,) if isinstance(f, Not) else ()
+        clash[f] = partners + ((negation[f],) if f in negation else ())
         if isinstance(f, And):
-            push(f.left)
-            push(f.right)
+            rules.append((f, (f.left, f.right), False))
         elif isinstance(f, Not):
             c = f.child
             if isinstance(c, Not):
-                push(c.child)
+                rules.append((f, (c.child,), False))
             elif isinstance(c, And):
-                nl, nr = Not(c.left), Not(c.right)
-                if nl not in members and nr not in members:
-                    push(nl)
-                    push(nr)
-    return moves
+                rules.append((f, (negation[c.left], negation[c.right]), True))
+    return rules, clash
+
+
+def _conflicts(members: frozenset[Formula], new: Formula, clash: _Clash) -> bool:
+    return isinstance(new, Falsum) or not members.isdisjoint(clash[new])
+
+
+def _pending(members: frozenset[Formula], rules: list[_Rule]) -> list[Formula]:
+    """Formulas a rule could still add, in deterministic order.
+
+    Members lie in the closure, so reading the table's rules in order and
+    skipping non-members reads the members in sort_key order.
+    """
+    moves: dict[Formula, None] = {}
+    for f, adds, blockable in rules:
+        if f in members and (not blockable or members.isdisjoint(adds)):
+            for g in adds:
+                if g not in members:
+                    moves[g] = None
+    return list(moves)
 
 
 def _branches(
-    seed: frozenset[Formula], within: Optional[frozenset[Formula]] = None
+    seed: frozenset[Formula],
+    closure: frozenset[Formula],
+    within: Optional[frozenset[Formula]] = None,
 ) -> Iterator[frozenset[Formula]]:
     """Depth-first over the graph of partial branches; yields finished ones.
 
-    A finished branch is a set no rule applies to.  With within set, only
-    moves that add a member of within are taken.  Order matters: a
-    disjunction rule is blocked once fulfilled, so an element may be
-    addable in one run order but not another.
+    closure is csf(seed).  A finished branch is a set no rule applies to.
+    With within set, only moves that add a member of within are taken.
+    Order matters: a disjunction rule is blocked once fulfilled, so an
+    element may be addable in one run order but not another.
     """
+    rules, clash = _table(closure)
     visited: set[frozenset[Formula]] = set()
     stack: list[frozenset[Formula]] = [seed]
     while stack:
@@ -99,13 +124,13 @@ def _branches(
         if current in visited:
             continue
         visited.add(current)
-        moves = _pending(current)
+        moves = _pending(current, rules)
         if not moves:
             yield current
             continue
         successors = []
         for new in moves:
-            if (within is None or new in within) and not _conflicts(current, new):
+            if (within is None or new in within) and not _conflicts(current, new, clash):
                 successors.append(current | {new})
         stack.extend(reversed(successors))
 
@@ -119,7 +144,7 @@ def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
     seed = frozenset(seed)
     if _clashes(seed):
         return
-    for members in _branches(seed):
+    for members in _branches(seed, csf(seed)):
         yield Saturation(members, seed)
 
 
@@ -143,8 +168,9 @@ def is_saturation_of(candidate: Iterable[Formula], seed: Iterable[Formula]) -> b
     """
     candidate = frozenset(candidate)
     seed = frozenset(seed)
-    if not seed <= candidate <= csf(seed):
+    closure = csf(seed)
+    if not seed <= candidate <= closure:
         return False
     if _clashes(candidate):
         return False
-    return candidate in _branches(seed, within=candidate)
+    return candidate in _branches(seed, closure, within=candidate)

@@ -1,5 +1,5 @@
 """Test-only references: the oracle's former density tests and frame
-enumeration, and the former saturation membership test.
+enumeration, and the former saturation rules, search and membership test.
 
 Density used to be written once per frame class, both over model edge
 sets and over successor bitmasks, and `_frame_masks` had one loop per
@@ -7,14 +7,17 @@ frame class and modality.  `is_saturation_of` used to spell out the
 branch rules' closure conditions itself and then run a search of its own
 for a run of the rules that reaches the candidate.  The oracle and the
 saturation module now write each rule once; the differential tests
-compare them against the functions below.
+compare them against the functions below.  The saturation search used to
+re-sort a state's members and build fresh `Not` partners on every visit;
+it now reads a table built once per seed.  `_pending`, `_conflicts` and
+`_branches` below are the per-visit form it replaced.
 """
 
 from functools import lru_cache
 
-from densemodal import And, Not, csf
+from densemodal import And, Falsum, Not, csf, sort_key
 from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _bits, _succ_masks
-from densemodal.saturation import _clashes, _pending
+from densemodal.saturation import _clashes
 
 
 def is_dense(model):
@@ -129,3 +132,65 @@ def _reachable(seed, target):
             if new in target:
                 stack.append(current | {new})
     return False
+
+
+def _conflicts(members, new):
+    if isinstance(new, Falsum):
+        return True
+    if isinstance(new, Not) and new.child in members:
+        return True
+    return Not(new) in members
+
+
+def _pending(members):
+    """Formulas a rule could still add, in deterministic order."""
+    moves = []
+    seen = set()
+
+    def push(f):
+        if f not in members and f not in seen:
+            seen.add(f)
+            moves.append(f)
+
+    for f in sorted(members, key=sort_key):
+        if isinstance(f, And):
+            push(f.left)
+            push(f.right)
+        elif isinstance(f, Not):
+            c = f.child
+            if isinstance(c, Not):
+                push(c.child)
+            elif isinstance(c, And):
+                nl, nr = Not(c.left), Not(c.right)
+                if nl not in members and nr not in members:
+                    push(nl)
+                    push(nr)
+    return moves
+
+
+def _branches(seed, within=None):
+    """Depth-first over the graph of partial branches; yields finished ones."""
+    visited = set()
+    stack = [seed]
+    while stack:
+        current = stack.pop()
+        if current in visited:
+            continue
+        visited.add(current)
+        moves = _pending(current)
+        if not moves:
+            yield current
+            continue
+        successors = []
+        for new in moves:
+            if (within is None or new in within) and not _conflicts(current, new):
+                successors.append(current | {new})
+        stack.extend(reversed(successors))
+
+
+def saturation_family(seed):
+    """Member sets of every saturation of seed, in the search's yield order."""
+    seed = frozenset(seed)
+    if _clashes(seed):
+        return []
+    return list(_branches(seed))

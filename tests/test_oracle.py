@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -17,6 +18,7 @@ from densemodal import (
     k_valid,
     model_check,
     model_from_json,
+    model_json_text,
     model_to_json,
     parse,
     truth_set,
@@ -239,6 +241,33 @@ class TestJson:
         m = KripkeModel([0], set(), set(), {}, 0)
         assert "rb" not in model_to_json(m, include_rb=False)
         assert model_from_json(model_to_json(m, include_rb=False)).rb == set()
+
+    def test_text_matches_json_dumps(self):
+        rng = random.Random(71)
+        models = [
+            KripkeModel([0], set(), set(), {}, 0),
+            KripkeModel([0, 1], {(0, 1)}, {(1, 0)}, {"p": {1}}, 1),
+            KripkeModel([2, 0, 1], set(), {(2, 2)}, {"q": set(), "p": {0, 2}, 'a"\u00e9': {1}}, 0),
+        ]
+        for _ in range(50):
+            n = rng.randint(1, 12)
+            edges = [(s, t) for s in range(n) for t in range(n)]
+            models.append(
+                KripkeModel(
+                    rng.sample(range(n), n),
+                    set(rng.sample(edges, rng.randint(0, len(edges)))),
+                    set(rng.sample(edges, rng.randint(0, len(edges)))),
+                    {
+                        name: set(rng.sample(range(n), rng.randint(0, n)))
+                        for name in rng.sample("pqrs", rng.randint(0, 4))
+                    },
+                    rng.randrange(n),
+                )
+            )
+        for m in models:
+            for include_rb in (True, False):
+                expected = json.dumps(model_to_json(m, include_rb), sort_keys=True)
+                assert model_json_text(m, include_rb) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):

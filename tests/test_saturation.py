@@ -9,12 +9,14 @@ from densemodal import (
     MOD_A,
     MOD_B,
     Not,
+    all_formulas,
     csf,
+    parse,
     set_degree,
     set_size,
     sort_key,
 )
-from densemodal.saturation import is_saturation_of, saturations
+from densemodal.saturation import is_saturation_of, saturation_family, saturations
 from conftest import random_formula
 import rule_reference as reference
 
@@ -194,6 +196,56 @@ class TestMembership:
                 near += [members - {x} for x in members - seed]
                 for cand in [members, *near]:
                     assert is_saturation_of(cand, seed) == reference.is_saturation_of(cand, seed)
+
+
+class TestReference:
+    """The table-driven search against the per-visit rules it replaced."""
+
+    @staticmethod
+    def _check(seed):
+        family = [s.members for s in saturation_family(seed)]
+        assert family == reference.saturation_family(seed), seed
+        universe = csf(seed)
+        for members in family:
+            near = [members | {x} for x in universe - members]
+            near += [members - {x} for x in members - seed]
+            for cand in [members, *near]:
+                assert is_saturation_of(cand, seed) == reference.is_saturation_of(cand, seed)
+
+    def test_random_seeds(self):
+        rng = random.Random(61)
+        for _ in range(2000):
+            self._check(
+                frozenset(
+                    random_formula(rng, 6, ["p", "q", "r"], (MOD_A, MOD_B))
+                    for _ in range(rng.randint(1, 3))
+                )
+            )
+
+    def test_every_small_formula(self):
+        for phi in all_formulas(6, ["p"], (MOD_A, MOD_B)):
+            self._check(frozenset({phi}))
+
+    def test_ladder_builds_no_formula_per_visit(self, monkeypatch):
+        # Building fresh Not partners at every visited set took 99,273 nodes
+        # here; the rule table builds none, so only csf's own are left.
+        ladder = " & ".join(f"(p{i} | q{i})" for i in range(5))
+        seed = frozenset({parse(ladder, "bimodal")})
+        bound = 2 * len(csf(seed))
+        assert bound == 88
+        built = 0
+        init = Not.__init__
+
+        def counting(self, child):
+            nonlocal built
+            built += 1
+            init(self, child)
+
+        monkeypatch.setattr(Not, "__init__", counting)
+        family = saturation_family(seed)
+        monkeypatch.undo()
+        assert len(family) == 32
+        assert built <= bound, f"{built} Not nodes built"
 
 
 class TestProperties:
