@@ -11,6 +11,12 @@ fixpoint frame is dense, its profiles satisfy exactly their own bits, and
 the target is satisfiable over dense frames exactly when some surviving
 profile has the target bit set.
 
+A profile's successors in the initial frame are exactly the profiles that
+set the body of each box it sets, so profiles that set the same boxes
+share one successor list.  Refinement keeps the input's edge tuples and
+tests midpoints by disjointness of successor and predecessor sets; since
+it only removes, equal profile and edge counts mark the fixpoint.
+
 Validity is satisfiability of the negation.  The index of ~phi is phi's
 index plus ~phi itself, which adds no free bit, so its profiles are phi's
 with a complement bit appended: the frames, counts and the lexicographic
@@ -42,8 +48,12 @@ from .oracle import KripkeModel, is_dense, model_check
 
 Profile = tuple[int, ...]
 
-# Free bits live at atom and box positions; the profile count is 2**free.
-FREE_BIT_LIMIT = 22
+# Free bits live at atom and box positions; the profile count is 2**free
+# and the initial edge count up to 4**free.  Each further bit quadruples the
+# work: the 12-bit ladder rung (4,096 profiles, 4,515,840 edges) answers in
+# about 66 s with a 1.3 GB peak, so 13 bits could not answer in any time a
+# caller would wait.
+FREE_BIT_LIMIT = 12
 
 
 class SubformulaIndex:
@@ -118,20 +128,23 @@ def profiles(ix: SubformulaIndex) -> Iterator[Profile]:
 
 
 def initial_frame(ix: SubformulaIndex) -> ProfileFrame:
-    """All profiles with every box-respecting edge."""
+    """All profiles with every box-respecting edge.
+
+    A profile x must point to exactly the profiles that set the body bit j
+    of every box i that x sets.  Profiles with the same required positions
+    share one successor list, computed once.
+    """
     if len(ix.free_positions) > FREE_BIT_LIMIT:
         raise ValueError(
             f"{len(ix.free_positions)} free bits exceed the limit of "
             f"{FREE_BIT_LIMIT}; the profile set would have 2**{len(ix.free_positions)} elements"
         )
     ps = list(profiles(ix))
-    box_pairs = ix.box_pairs
-    rel = frozenset(
-        (x, y)
-        for x in ps
-        for y in ps
-        if all(x[i] == 0 or y[j] == 1 for (i, j) in box_pairs)
-    )
+    groups: dict[tuple[int, ...], list[Profile]] = {}
+    for x in ps:
+        groups.setdefault(tuple(j for i, j in ix.box_pairs if x[i]), []).append(x)
+    succs = {required: [y for y in ps if all(y[j] for j in required)] for required in groups}
+    rel = frozenset((x, y) for required, xs in groups.items() for x in xs for y in succs[required])
     return ProfileFrame(frozenset(ps), rel)
 
 
@@ -140,7 +153,8 @@ def refine_frame(frame: ProfileFrame, ix: SubformulaIndex) -> ProfileFrame:
 
     A profile survives when each of its false boxes has a successor
     falsifying the body; an edge survives when both ends survive and the
-    edge has a midpoint in the input frame.
+    edge has a midpoint in the input frame.  Surviving edges are the
+    input's own tuples.
     """
     succ: dict[Profile, set[Profile]] = {p: set() for p in frame.profiles}
     pred: dict[Profile, set[Profile]] = {p: set() for p in frame.profiles}
@@ -157,9 +171,9 @@ def refine_frame(frame: ProfileFrame, ix: SubformulaIndex) -> ProfileFrame:
         if ok:
             keep.add(p)
     rel = frozenset(
-        (x, y)
-        for (x, y) in frame.rel
-        if x in keep and y in keep and succ[x] & pred[y]
+        edge
+        for edge in frame.rel
+        if edge[0] in keep and edge[1] in keep and not succ[edge[0]].isdisjoint(pred[edge[1]])
     )
     return ProfileFrame(frozenset(keep), rel)
 
@@ -167,10 +181,12 @@ def refine_frame(frame: ProfileFrame, ix: SubformulaIndex) -> ProfileFrame:
 def fixpoint(phi: Formula, ix: Optional[SubformulaIndex] = None) -> tuple[ProfileFrame, int]:
     """Iterate refinement to stability; returns the frame and the step count.
 
-    The step count is the least k with refine^(k+1) == refine^k.  The
-    resulting frame is never empty; emptiness would invalidate the whole
-    procedure, so it is checked on every run.  `ix` is phi's index when the
-    caller has already built it.
+    The step count is the least k with refine^(k+1) == refine^k.
+    Refinement only removes profiles and edges, so a refined frame with as
+    many profiles and edges as its input equals it.  The resulting frame is
+    never empty; emptiness would invalidate the whole procedure, so it is
+    checked on every run.  `ix` is phi's index when the caller has already
+    built it.
     """
     if ix is None:
         ix = build_index(phi)
@@ -178,7 +194,7 @@ def fixpoint(phi: Formula, ix: Optional[SubformulaIndex] = None) -> tuple[Profil
     iterations = 0
     while True:
         refined = refine_frame(frame, ix)
-        if refined == frame:
+        if len(refined.profiles) == len(frame.profiles) and len(refined.rel) == len(frame.rel):
             break
         frame = refined
         iterations += 1

@@ -12,6 +12,7 @@ from densemodal import (
     Not,
     SAT,
     UNSAT,
+    all_formulas,
     build_index,
     fixpoint,
     initial_frame,
@@ -27,6 +28,7 @@ from densemodal import (
 import densemodal.kde as kde_module
 from densemodal.kde import counter_model, frame_model
 from conftest import random_formula
+import kde_reference as reference
 
 P = Atom("p")
 
@@ -261,3 +263,43 @@ class TestKdeSolve:
             expected = frame_model(frame, ix, misses[0]) if misses else None
             assert counter_model(phi) == expected
             assert kde_sat(Not(phi)).stats == result.stats
+
+
+# The 8-free-bit rung of the kde ladder: 256 profiles, 28,224 edges.
+LADDER_8 = "[](p0 -> <>q0) & [](p1 -> <>q1)"
+
+
+def differential_corpus():
+    """2,000 random formulas with at most 7 free bits, every kde_corpus
+    formula, and the 8-bit ladder rung."""
+    rng = random.Random(2026)
+    randoms = []
+    while len(randoms) < 2000:
+        phi = random_formula(rng, rng.randint(4, 30), ["p", "q", "r"])
+        if len(build_index(phi).free_positions) <= 7:
+            randoms.append(phi)
+    corpus = all_formulas(7, ["p"]) + all_formulas(6, ["p", "q"])[::7]
+    return randoms + corpus + [parse(LADDER_8)]
+
+
+class TestReferenceAgreement:
+    def test_fixpoint_matches_the_pairwise_reference(self):
+        for phi in differential_corpus():
+            ix = build_index(phi)
+            assert initial_frame(ix) == reference.initial_frame(ix), phi
+            frame, iterations = fixpoint(phi, ix)
+            ref_frame, ref_iterations = reference.fixpoint(phi, ix)
+            assert frame.profiles == ref_frame.profiles, phi
+            assert frame.rel == ref_frame.rel, phi
+            assert iterations == ref_iterations, phi
+
+    def test_refinement_keeps_the_input_edge_tuples(self):
+        # 7 free bits; one refinement round removes profiles and edges.
+        ix = build_index(parse("<>p & [](p -> <>~p) & [](~p -> <>p) & []q"))
+        assert len(ix.free_positions) == 7
+        frame = initial_frame(ix)
+        refined = refine_frame(frame, ix)
+        assert 0 < len(refined.rel) < len(frame.rel)
+        assert refined == reference.refine_frame(frame, ix)
+        originals = {edge: edge for edge in frame.rel}
+        assert all(originals[edge] is edge for edge in refined.rel)
