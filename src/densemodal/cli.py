@@ -46,16 +46,16 @@ from .formula import (
 from .kde import KdeResult, frame_model, kde_sat, kde_solve
 from .kdeab import BoundPolicy, SAT, sat_set
 from .oracle import (
+    DENSE,
     KripkeModel,
+    ModelTables,
     bounded_search,
-    is_dense,
     model_json_text,
     search_is_bimodal,
-    truth_set,
 )
 # cli does not call these; densebench/layers.py wraps them as cli call sites.
 from .kde import build_index, counter_model, fixpoint  # noqa: F401
-from .oracle import model_check  # noqa: F401
+from .oracle import is_dense, model_check  # noqa: F401
 from .translate import fresh_atom, relativize
 
 _CORPUS_ATOMS = ("p", "q", "r", "s")
@@ -198,13 +198,14 @@ def _fixpoint_failures(result: KdeResult, phi: Formula) -> list[str]:
     """kde's checks of the whole fixpoint frame, beyond the witness.
 
     The frame is dense, and every profile satisfies exactly its own bits.
+    All entries are evaluated on one set of model tables with one memo.
     """
     frame, ix = result.frame, result.index
     order = sorted(frame.profiles)
-    base = frame_model(frame, ix, order[0])
-    failures = [] if is_dense(base) else [f"fixpoint frame not dense: {phi}"]
+    tables = ModelTables(frame_model(frame, ix, order[0]))
+    failures = [] if tables.in_class(DENSE) else [f"fixpoint frame not dense: {phi}"]
     for i, entry in enumerate(ix.entries):
-        holds = truth_set(base, entry)
+        holds = tables.worlds_in(tables.truth(entry))
         if any((world in holds) != (p[i] == 1) for world, p in enumerate(order)):
             failures.append(f"profile bit mismatch: {phi} at entry {i}")
     return failures

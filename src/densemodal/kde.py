@@ -44,7 +44,7 @@ from .formula import (
     is_unimodal,
 )
 from .kdeab import SAT, UNSAT, SatResult
-from .oracle import KripkeModel, is_dense, model_check
+from .oracle import DENSE, KripkeModel, verify
 
 Profile = tuple[int, ...]
 
@@ -252,10 +252,7 @@ class KdeResult:
         if root is None:
             return None
         model = frame_model(self.frame, self.index, root)
-        if not model_check(model, model.root, self.index.target):
-            raise InvariantError(f"kde witness fails model_check on {self.index.target}")
-        if not is_dense(model):
-            raise InvariantError("kde witness frame is not dense")
+        verify(model, [self.index.target], DENSE, "kde witness")
         return model
 
 

@@ -6,6 +6,17 @@ weak density with rb read as ra), exhaustive bounded model search, and a
 standalone validity tableau for plain K.  Nothing in here shares search
 machinery with the solver modules; this module is the independent side of
 every cross-check.
+
+Checks run set-at-a-time on bitsets.  `ModelTables` numbers a model's
+worlds once and keeps one int successor mask per world and relation; an
+int is a set of worlds.  A box holds at w when w's successor mask has no
+bit outside the body's truth set, and an ra edge (w, t) has a midpoint when
+t is in the union of the rb masks of w's ra successors.  `verify` builds
+the tables once, checks every formula at the root and then the frame
+class, and raises InvariantError naming the first failure; both solvers'
+witness checks and bounded_search's own check call it.  `model_check`,
+`truth_set`, `is_dense` and `is_weakly_dense` build the same tables per
+call.
 """
 
 from __future__ import annotations
@@ -61,23 +72,113 @@ class KripkeModel:
             for s, t in rel:
                 if s not in ws or t not in ws:
                     raise ValueError("relation edge outside the world set")
+        if len(ws) != len(self.worlds):
+            raise ValueError("duplicate worlds")
         for name, holds in self.valuation.items():
             if not holds <= ws:
                 raise ValueError(f"valuation of {name!r} outside the world set")
+
+
+class ModelTables:
+    """One model's worlds as bit positions and its relations as successor bitsets.
+
+    Bit i of an int stands for `model.worlds[i]`, so an int is a set of
+    worlds.  The tables are built once per checked model; every truth set
+    and frame test on that model reads them, and `truth` evaluates each
+    distinct subformula once over all worlds at a time.
+    """
+
+    def __init__(self, model: KripkeModel):
+        self.model = model
+        self.position = {w: i for i, w in enumerate(model.worlds)}
+        self.full = (1 << len(model.worlds)) - 1
+        self.succ_a = self._successors(model.ra)
+        self.succ_b = self._successors(model.rb)
+        self._memo: dict[Formula, int] = {}
+
+    def _successors(self, rel: set[tuple[int, int]]) -> list[int]:
+        pos = self.position
+        succ = [0] * len(pos)
+        for s, t in rel:
+            succ[pos[s]] |= 1 << pos[t]
+        return succ
+
+    def worlds_in(self, mask: int) -> frozenset[int]:
+        return frozenset(w for i, w in enumerate(self.model.worlds) if (mask >> i) & 1)
+
+    def truth(self, f: Formula) -> int:
+        """The worlds satisfying f; a box holds where no successor falls outside its body."""
+        got = self._memo.get(f)
+        if got is not None:
+            return got
+        if isinstance(f, Atom):
+            out = 0
+            for w in self.model.valuation.get(f.name, ()):
+                out |= 1 << self.position[w]
+        elif isinstance(f, Falsum):
+            out = 0
+        elif isinstance(f, Not):
+            out = self.full & ~self.truth(f.child)
+        elif isinstance(f, And):
+            out = self.truth(f.left) & self.truth(f.right)
+        else:
+            succ = self.succ_a if f.modality == MOD_A else self.succ_b
+            outside = self.full & ~self.truth(f.child)
+            out = 0
+            for i, s in enumerate(succ):
+                if not s & outside:
+                    out |= 1 << i
+        self._memo[f] = out
+        return out
+
+    def weakly_dense(self, succ_b: list[int]) -> bool:
+        """Every ra edge (w, t) has a midpoint u with w ra u and u rb t.
+
+        Worlds with the same ra successors share one midpoint reach, the
+        union of their successors' rb successors.
+        """
+        reach_of: dict[int, int] = {}
+        for succ in self.succ_a:
+            reach = reach_of.get(succ)
+            if reach is None:
+                reach = 0
+                for u in _bits(succ):
+                    reach |= succ_b[u]
+                reach_of[succ] = reach
+            if succ & ~reach:
+                return False
+        return True
+
+    def in_class(self, frame_class: str) -> bool:
+        """Frame membership; density is weak density with rb read as ra."""
+        if frame_class == DENSE:
+            return self.weakly_dense(self.succ_a)
+        if frame_class == WEAKLY_DENSE:
+            return self.weakly_dense(self.succ_b)
+        return True
+
+
+def verify(model: KripkeModel, formulas: Iterable[Formula], frame_class: str, label: str) -> None:
+    """Check every formula at the root, then the frame class, on one set of tables.
+
+    Raises InvariantError naming the first failure, prefixed by label:
+    "<label> fails model_check on <f>" or "<label> frame is not <class>".
+    """
+    tables = ModelTables(model)
+    root = 1 << tables.position[model.root]
+    for f in formulas:
+        if not tables.truth(f) & root:
+            raise InvariantError(f"{label} fails model_check on {f}")
+    if not tables.in_class(frame_class):
+        raise InvariantError(f"{label} frame is not {frame_class.replace('_', ' ')}")
 
 
 def model_check(model: KripkeModel, world: int, phi: Formula) -> bool:
     """Standard satisfaction at a world: membership in phi's truth set."""
     if world not in model.worlds:
         raise ValueError(f"unknown world {world!r}")
-    return world in truth_set(model, phi)
-
-
-def _successors(worlds: list[int], rel: set[tuple[int, int]]) -> dict[int, set[int]]:
-    succ: dict[int, set[int]] = {w: set() for w in worlds}
-    for s, t in rel:
-        succ[s].add(t)
-    return succ
+    tables = ModelTables(model)
+    return bool((tables.truth(phi) >> tables.position[world]) & 1)
 
 
 def truth_set(model: KripkeModel, phi: Formula) -> frozenset[int]:
@@ -86,47 +187,18 @@ def truth_set(model: KripkeModel, phi: Formula) -> frozenset[int]:
     Each distinct subformula is evaluated once, so the cost is linear in
     the number of subformulas times the size of the model.
     """
-    everything = frozenset(model.worlds)
-    succ_a = _successors(model.worlds, model.ra)
-    succ_b = _successors(model.worlds, model.rb)
-    memo: dict[Formula, frozenset[int]] = {}
-
-    def ev(f: Formula) -> frozenset[int]:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, Atom):
-            out = frozenset(model.valuation.get(f.name, set()))
-        elif isinstance(f, Falsum):
-            out = frozenset()
-        elif isinstance(f, Not):
-            out = everything - ev(f.child)
-        elif isinstance(f, And):
-            out = ev(f.left) & ev(f.right)
-        else:
-            succ = succ_a if f.modality == MOD_A else succ_b
-            inner = ev(f.child)
-            out = frozenset(w for w in model.worlds if succ[w] <= inner)
-        memo[f] = out
-        return out
-
-    return ev(phi)
-
-
-def _weakly_dense(worlds: list[int], ra: set[tuple[int, int]], rb: set[tuple[int, int]]) -> bool:
-    succ_a = _successors(worlds, ra)
-    succ_b = _successors(worlds, rb)
-    return all(any(t in succ_b[u] for u in succ_a[s]) for (s, t) in ra)
+    tables = ModelTables(model)
+    return tables.worlds_in(tables.truth(phi))
 
 
 def is_dense(model: KripkeModel) -> bool:
     """Every ra edge has an ra-ra midpoint: weak density with rb read as ra."""
-    return _weakly_dense(model.worlds, model.ra, model.ra)
+    return ModelTables(model).in_class(DENSE)
 
 
 def is_weakly_dense(model: KripkeModel) -> bool:
     """Every ra edge has an ra-rb midpoint."""
-    return _weakly_dense(model.worlds, model.ra, model.rb)
+    return ModelTables(model).in_class(WEAKLY_DENSE)
 
 
 # --------------------------------------------------------------------------
@@ -282,23 +354,13 @@ def bounded_search(
                     },
                     root=root,
                 )
-                _check_found(model, targets, frame_class)
+                # Double-entry: the bitmask search's model must pass the oracle's
+                # own checks.  _eval_mask stays a separate evaluator from
+                # ModelTables.truth for this check alone: if one were written in
+                # terms of the other, the check would compare a function with itself.
+                verify(model, targets, frame_class, "bounded_search result")
                 return model
     return None
-
-
-def _check_found(model: KripkeModel, targets: list[Formula], frame_class: str) -> None:
-    # Double-entry: the bitmask evaluation must agree with the set-based
-    # checker.  _eval_mask stays a separate evaluator from truth_set for this
-    # check alone: if one were written in terms of the other, the check would
-    # compare a function with itself.
-    for f in targets:
-        if not model_check(model, model.root, f):
-            raise InvariantError(f"bounded_search result fails model_check on {f}")
-    if frame_class == DENSE and not is_dense(model):
-        raise InvariantError("bounded_search produced a non-dense frame")
-    if frame_class == WEAKLY_DENSE and not is_weakly_dense(model):
-        raise InvariantError("bounded_search produced a non-weakly-dense frame")
 
 
 # --------------------------------------------------------------------------

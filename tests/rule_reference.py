@@ -1,5 +1,6 @@
-"""Test-only references: the oracle's former density tests and frame
-enumeration, and the former saturation rules, search and membership test.
+"""Test-only references: the oracle's former density tests, set-based
+truth sets and frame enumeration, and the former saturation rules, search
+and membership test.
 
 Density used to be written once per frame class, both over model edge
 sets and over successor bitmasks, and `_frame_masks` had one loop per
@@ -7,15 +8,19 @@ frame class and modality.  `is_saturation_of` used to spell out the
 branch rules' closure conditions itself and then run a search of its own
 for a run of the rules that reaches the candidate.  The oracle and the
 saturation module now write each rule once; the differential tests
-compare them against the functions below.  The saturation search used to
-re-sort a state's members and build fresh `Not` partners on every visit;
-it now reads a table built once per seed.  `_pending`, `_conflicts` and
-`_branches` below are the per-visit form it replaced.
+compare them against the functions below.  The oracle's truth sets and
+density test used to run on Python sets of worlds, with successor dicts
+rebuilt per call; they now run on successor bitsets built once per model,
+and `_successors`, `truth_set` and `_weakly_dense` below are the set form
+they replaced.  The saturation search used to re-sort a state's members
+and build fresh `Not` partners on every visit; it now reads a table built
+once per seed.  `_pending`, `_conflicts` and `_branches` below are the
+per-visit form it replaced.
 """
 
 from functools import lru_cache
 
-from densemodal import And, Falsum, Not, csf, sort_key
+from densemodal import MOD_A, And, Atom, Falsum, Not, csf, sort_key
 from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _bits, _succ_masks
 from densemodal.saturation import _clashes
 
@@ -37,6 +42,48 @@ def is_weakly_dense(model):
     for s, t in model.rb:
         succ_b[s].add(t)
     return all(any(t in succ_b[u] for u in succ_a[s]) for (s, t) in model.ra)
+
+
+def _successors(worlds, rel):
+    succ = {w: set() for w in worlds}
+    for s, t in rel:
+        succ[s].add(t)
+    return succ
+
+
+def truth_set(model, phi):
+    """All worlds satisfying phi, each distinct subformula evaluated once."""
+    everything = frozenset(model.worlds)
+    succ_a = _successors(model.worlds, model.ra)
+    succ_b = _successors(model.worlds, model.rb)
+    memo = {}
+
+    def ev(f):
+        got = memo.get(f)
+        if got is not None:
+            return got
+        if isinstance(f, Atom):
+            out = frozenset(model.valuation.get(f.name, set()))
+        elif isinstance(f, Falsum):
+            out = frozenset()
+        elif isinstance(f, Not):
+            out = everything - ev(f.child)
+        elif isinstance(f, And):
+            out = ev(f.left) & ev(f.right)
+        else:
+            succ = succ_a if f.modality == MOD_A else succ_b
+            inner = ev(f.child)
+            out = frozenset(w for w in model.worlds if succ[w] <= inner)
+        memo[f] = out
+        return out
+
+    return ev(phi)
+
+
+def _weakly_dense(worlds, ra, rb):
+    succ_a = _successors(worlds, ra)
+    succ_b = _successors(worlds, rb)
+    return all(any(t in succ_b[u] for u in succ_a[s]) for (s, t) in ra)
 
 
 def _mask_dense(n, succ):

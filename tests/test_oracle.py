@@ -1,4 +1,6 @@
+import ast
 import json
+import os
 import random
 import time
 
@@ -8,10 +10,12 @@ from densemodal import (
     And,
     Atom,
     Box,
+    InvariantError,
     KripkeModel,
     MOD_A,
     MOD_B,
     Not,
+    all_formulas,
     bounded_search,
     is_dense,
     is_weakly_dense,
@@ -22,8 +26,17 @@ from densemodal import (
     model_to_json,
     parse,
     truth_set,
+    verify,
 )
-from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _dense_masks, _frame_masks, _weakly_dense_mask_pairs
+from densemodal.oracle import (
+    ALL,
+    DENSE,
+    WEAKLY_DENSE,
+    ModelTables,
+    _dense_masks,
+    _frame_masks,
+    _weakly_dense_mask_pairs,
+)
 from conftest import random_formula
 import rule_reference as reference
 
@@ -111,6 +124,68 @@ class TestModelCheck:
         assert not model_check(KripkeModel([0, 1], complete, set(), {"q": {0}}, 0), 0, phi)
         elapsed = time.monotonic() - start
         assert elapsed < 0.1, f"took {elapsed:.3f}s"
+
+
+def scattered_models(rng, count):
+    """Random models whose world ids are unsorted and non-contiguous.
+
+    Edge rates run from sparse (many worlds without successors) to dense,
+    and rb is drawn apart from ra.
+    """
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        worlds = rng.sample(range(3, 40), n)
+        rate_a, rate_b = rng.choice((0.15, 0.4, 0.7)), rng.choice((0.15, 0.4, 0.7))
+        ra = {(s, t) for s in worlds for t in worlds if rng.random() < rate_a}
+        rb = {(s, t) for s in worlds for t in worlds if rng.random() < rate_b}
+        val = {name: {w for w in worlds if rng.random() < 0.5} for name in ("p", "q")}
+        yield KripkeModel(worlds, ra, rb, val, root=rng.choice(worlds))
+
+
+class TestBitsetTables:
+    """The bitset checks against the set-based form they replaced."""
+
+    CORPUS = all_formulas(5, ["p", "q"], modalities=(MOD_A, MOD_B))
+
+    def test_truth_sets_and_density_match_the_set_reference(self):
+        models = list(scattered_models(random.Random(73), 30))
+        models.append(KripkeModel([7, 3, 12], {(7, 12), (12, 3)}, {(3, 7), (12, 12)}, {"p": {3}}, 12))
+        for m in models:
+            tables = ModelTables(m)
+            for phi in self.CORPUS:
+                expected = reference.truth_set(m, phi)
+                assert tables.worlds_in(tables.truth(phi)) == expected, (m, phi)
+                assert truth_set(m, phi) == expected, (m, phi)
+            assert is_dense(m) == reference._weakly_dense(m.worlds, m.ra, m.ra)
+            assert is_weakly_dense(m) == reference._weakly_dense(m.worlds, m.ra, m.rb)
+
+    def test_verify_names_the_first_failure(self):
+        m = KripkeModel([7, 3, 12], {(7, 12), (12, 3)}, {(12, 3)}, {"p": {3}}, 7)
+        verify(m, [parse("<a><a>p", "bimodal")], "all", "w")
+        with pytest.raises(InvariantError, match="^w fails model_check on <>p$"):
+            verify(m, [parse("<a><a>p", "bimodal"), parse("<a>p", "bimodal")], "dense", "w")
+        with pytest.raises(InvariantError, match="^w frame is not dense$"):
+            verify(m, [parse("<a><a>p", "bimodal")], "dense", "w")
+        with pytest.raises(InvariantError, match="^w frame is not weakly dense$"):
+            verify(m, [], "weakly_dense", "w")
+        m.rb = {(12, 12), (3, 3)}
+        verify(m, [], "weakly_dense", "w")
+
+
+def test_oracle_imports_no_solver_module():
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "densemodal", "oracle.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    solvers = ("saturation", "windows", "kdeab", "kde")
+    assert not [name for name in imported if set(name.split(".")) & set(solvers)]
+    assert "formula" in imported
 
 
 def frames(rng):
@@ -268,6 +343,12 @@ class TestJson:
             for include_rb in (True, False):
                 expected = json.dumps(model_to_json(m, include_rb), sort_keys=True)
                 assert model_json_text(m, include_rb) == expected
+
+    def test_duplicate_worlds_are_rejected(self):
+        with pytest.raises(ValueError, match="duplicate worlds"):
+            model_from_json({"worlds": [0, 0], "ra": [], "val": {}, "root": 0})
+        with pytest.raises(ValueError, match="duplicate worlds"):
+            KripkeModel([3, 7, 3], set(), set(), {}, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
