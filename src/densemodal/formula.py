@@ -223,29 +223,13 @@ def set_size(formulas: Iterable[Formula]) -> int:
     return sum(size(f) for f in formulas)
 
 
-def csf(formulas: Iterable[Formula]) -> frozenset[Formula]:
-    """Classical closure: split conjunctions and negations, never boxes."""
-    out: set[Formula] = set()
-    todo = list(formulas)
-    while todo:
-        f = todo.pop()
-        if f in out:
-            continue
-        out.add(f)
-        if isinstance(f, And):
-            todo.append(f.left)
-            todo.append(f.right)
-        elif isinstance(f, Not):
-            c = f.child
-            todo.append(c)
-            if isinstance(c, And):
-                todo.append(Not(c.left))
-                todo.append(Not(c.right))
-    return frozenset(out)
+def _closure(formulas: Iterable[Formula], unfold_boxes: bool) -> frozenset[Formula]:
+    """Close under the classical decompositions, and under box unfolding if asked.
 
-
-def sf(formulas: Iterable[Formula]) -> frozenset[Formula]:
-    """Full closure: like csf, but boxes and negated boxes unfold too."""
+    Conjunctions give both conjuncts, negations their body, ~(phi & psi)
+    gives ~phi and ~psi; with unfold_boxes, [x]phi gives phi and ~[x]phi
+    gives ~phi.
+    """
     out: set[Formula] = set()
     todo = list(formulas)
     while todo:
@@ -257,16 +241,30 @@ def sf(formulas: Iterable[Formula]) -> frozenset[Formula]:
             todo.append(f.left)
             todo.append(f.right)
         elif isinstance(f, Box):
-            todo.append(f.child)
+            if unfold_boxes:
+                todo.append(f.child)
         elif isinstance(f, Not):
             c = f.child
             todo.append(c)
             if isinstance(c, And):
                 todo.append(Not(c.left))
                 todo.append(Not(c.right))
-            elif isinstance(c, Box):
+            elif unfold_boxes and isinstance(c, Box):
                 todo.append(Not(c.child))
     return frozenset(out)
+
+
+def csf(formulas: Iterable[Formula]) -> frozenset[Formula]:
+    """Classical closure: split conjunctions and negations, never boxes."""
+    return _closure(formulas, unfold_boxes=False)
+
+
+def sf(formulas: Iterable[Formula]) -> frozenset[Formula]:
+    """Full closure: csf's walk, with boxes and negated boxes unfolded too.
+
+    sf is closed under csf: csf(sf(X)) == sf(X).
+    """
+    return _closure(formulas, unfold_boxes=True)
 
 
 def box_inverse(formulas: Iterable[Formula], modality: str) -> frozenset[Formula]:

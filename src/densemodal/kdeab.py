@@ -41,7 +41,6 @@ from .formula import (
     MOD_B,
     Not,
     box_inverse,
-    csf,
     set_degree,
     sf,
     sort_key,
@@ -62,14 +61,14 @@ COUNTER = "counter"
 def counter_bound(members: Iterable[Formula]) -> int:
     """Counter-mode budget for an anchor: 2**(M*(d+1)).
 
-    M counts csf(sf(anchor)) and d is the anchor's degree.  Each of a
+    M counts sf(anchor) and d is the anchor's degree.  Each of a
     window's d+1 parts is a clash-free subset of that universe, and the
     universe holds the anchor's negated a-box beside its box, so there are
     fewer than 2**M choices per part: the bound exceeds the number of
     distinct windows, and no repetition-free chain reaches it.
     """
     members = frozenset(members)
-    m = len(csf(sf(members)))
+    m = len(sf(members))
     return 2 ** (m * (set_degree(members) + 1))
 
 

@@ -10,13 +10,15 @@ every cross-check.
 Checks run set-at-a-time on bitsets.  `ModelTables` numbers a model's
 worlds once and keeps one int successor mask per world and relation; an
 int is a set of worlds.  A box holds at w when w's successor mask has no
-bit outside the body's truth set, and an ra edge (w, t) has a midpoint when
-t is in the union of the rb masks of w's ra successors.  `verify` builds
-the tables once, checks every formula at the root and then the frame
-class, and raises InvariantError naming the first failure; both solvers'
-witness checks and bounded_search's own check call it.  `model_check`,
-`truth_set`, `is_dense` and `is_weakly_dense` build the same tables per
-call.
+bit outside the body's truth set.  An ra edge (w, t) has a midpoint when
+t is in the union of the rb masks of w's ra successors: `_weakly_dense`
+is that test over successor masks, the only density test here.  It reads
+a model's tables in `ModelTables.in_class` and filters bounded_search's
+frame tables.  `verify` builds the tables once, checks every formula at
+the root and then the frame class, and raises InvariantError naming the
+first failure; both solvers' witness checks and bounded_search's own
+check call it.  `model_check`, `truth_set`, `is_dense` and
+`is_weakly_dense` build the same tables per call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvariantError
 from .formula import (
@@ -77,6 +79,33 @@ class KripkeModel:
         for name, holds in self.valuation.items():
             if not holds <= ws:
                 raise ValueError(f"valuation of {name!r} outside the world set")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _weakly_dense(succ_a: Sequence[int], succ_b: Sequence[int]) -> bool:
+    """Every ra edge (w, t) has a midpoint u with w ra u and u rb t.
+
+    succ_a and succ_b are successor masks indexed by world.  Worlds with
+    the same ra successors share one midpoint reach, the union of their
+    successors' rb successors.  Density is this test with rb read as ra.
+    """
+    reach_of: dict[int, int] = {}
+    for succ in succ_a:
+        reach = reach_of.get(succ)
+        if reach is None:
+            reach = 0
+            for u in _bits(succ):
+                reach |= succ_b[u]
+            reach_of[succ] = reach
+        if succ & ~reach:
+            return False
+    return True
 
 
 class ModelTables:
@@ -131,30 +160,12 @@ class ModelTables:
         self._memo[f] = out
         return out
 
-    def weakly_dense(self, succ_b: list[int]) -> bool:
-        """Every ra edge (w, t) has a midpoint u with w ra u and u rb t.
-
-        Worlds with the same ra successors share one midpoint reach, the
-        union of their successors' rb successors.
-        """
-        reach_of: dict[int, int] = {}
-        for succ in self.succ_a:
-            reach = reach_of.get(succ)
-            if reach is None:
-                reach = 0
-                for u in _bits(succ):
-                    reach |= succ_b[u]
-                reach_of[succ] = reach
-            if succ & ~reach:
-                return False
-        return True
-
     def in_class(self, frame_class: str) -> bool:
         """Frame membership; density is weak density with rb read as ra."""
         if frame_class == DENSE:
-            return self.weakly_dense(self.succ_a)
+            return _weakly_dense(self.succ_a, self.succ_a)
         if frame_class == WEAKLY_DENSE:
-            return self.weakly_dense(self.succ_b)
+            return _weakly_dense(self.succ_a, self.succ_b)
         return True
 
 
@@ -209,61 +220,52 @@ def is_weakly_dense(model: KripkeModel) -> bool:
 # when the i-th atom holds at world w.  Enumeration is n ascending, then
 # ra mask ascending, rb mask ascending, valuation ascending, root
 # ascending, so "the first model" is well defined and reproducible.
+# The frame tables hold relations as successor masks, cut once per n from
+# `_relations(n)` and kept for the life of the process.
 
 
-def _succ_masks(n: int, mask: int) -> tuple[int, ...]:
+# A relation on worlds 0..n-1 as successor masks, one per world.
+_Succ = tuple[int, ...]
+
+
+def _succ_masks(n: int, mask: int) -> _Succ:
     return tuple((mask >> (s * n)) & ((1 << n) - 1) for s in range(n))
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask_weakly_dense(n: int, succ_a: tuple[int, ...], succ_b: tuple[int, ...]) -> bool:
-    for s in range(n):
-        for t in _bits(succ_a[s]):
-            if not any((succ_b[u] >> t) & 1 for u in _bits(succ_a[s])):
-                return False
-    return True
+@lru_cache(maxsize=None)
+def _relations(n: int) -> tuple[_Succ, ...]:
+    """Every relation on n worlds, in relation mask order."""
+    return tuple(_succ_masks(n, m) for m in range(1 << (n * n)))
 
 
 @lru_cache(maxsize=None)
-def _dense_masks(n: int) -> tuple[int, ...]:
-    masks = []
-    for m in range(1 << (n * n)):
-        s = _succ_masks(n, m)
-        if _mask_weakly_dense(n, s, s):
-            masks.append(m)
-    return tuple(masks)
+def _dense_relations(n: int) -> tuple[_Succ, ...]:
+    return tuple(s for s in _relations(n) if _weakly_dense(s, s))
 
 
 @lru_cache(maxsize=None)
-def _weakly_dense_mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for ra in range(1 << (n * n)):
-        sa = _succ_masks(n, ra)
-        for rb in range(1 << (n * n)):
-            if _mask_weakly_dense(n, sa, _succ_masks(n, rb)):
-                pairs.append((ra, rb))
-    return tuple(pairs)
+def _weakly_dense_pairs(n: int) -> tuple[tuple[_Succ, _Succ], ...]:
+    rels = _relations(n)
+    return tuple((sa, sb) for sa in rels for sb in rels if _weakly_dense(sa, sb))
 
 
-def _frame_masks(n: int, frame_class: str, bimodal: bool) -> Iterable[tuple[int, int]]:
+def _frames(n: int, frame_class: str, bimodal: bool) -> Iterable[tuple[_Succ, _Succ]]:
+    """(ra, rb) of every frame in the class on n worlds, in enumeration order.
+
+    Unimodal searches pair every ra with the empty rb.
+    """
     if frame_class == WEAKLY_DENSE:
-        return _weakly_dense_mask_pairs(n)
-    total = 1 << (n * n)
-    ras = _dense_masks(n) if frame_class == DENSE else range(total)
-    return product(ras, range(total) if bimodal else (0,))
+        return _weakly_dense_pairs(n)
+    rels = _relations(n)
+    ras = _dense_relations(n) if frame_class == DENSE else rels
+    return product(ras, rels if bimodal else rels[:1])
 
 
 def _eval_mask(
     f: Formula,
     val_masks: dict[str, int],
-    succ_a: tuple[int, ...],
-    succ_b: tuple[int, ...],
+    succ_a: _Succ,
+    succ_b: _Succ,
     n: int,
     full: int,
     memo: dict[Formula, int],
@@ -328,9 +330,7 @@ def bounded_search(
         )
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
-        for ra_mask, rb_mask in _frame_masks(n, frame_class, bimodal):
-            succ_a = _succ_masks(n, ra_mask)
-            succ_b = _succ_masks(n, rb_mask)
+        for succ_a, succ_b in _frames(n, frame_class, bimodal):
             for val_mask in range(1 << (n * len(names))):
                 val_masks = {
                     name: (val_mask >> (i * n)) & full

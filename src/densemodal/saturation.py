@@ -18,13 +18,15 @@ and clashes are therefore written once, in `_table`, which lists the
 closure in sort_key order with each member's rule and clashes; it is built
 once per search and read by `_pending` and `_conflicts` at every visited
 set.  `_branches` explores them: a depth-first search over the graph of
-intermediate sets, which covers every application order.  Enumeration
-reads every finished branch of that search; the membership test runs it
-restricted to the candidate and accepts when it finishes on the candidate.
-The disjunction rule is blocked once one of its two targets is present, so
-branches never pad themselves with underived material.  An inconsistent
-seed has no saturations at all; callers treat the empty stream as the
-failed branch.
+intermediate sets, which covers every application order.  It first tests
+the seed against the same clash table: a clashing seed ends the search at
+once, and from a clash-free seed no move adds a clash, so no other clash
+test is needed.  Enumeration reads every finished branch of that search;
+the membership test runs it restricted to the candidate and accepts when
+it finishes on the candidate.  The disjunction rule is blocked once one of
+its two targets is present, so branches never pad themselves with
+underived material.  An inconsistent seed has no saturations at all;
+callers treat the empty stream as the failed branch.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .formula import And, FALSUM, Falsum, Formula, Not, csf, set_degree, sort_key
+from .formula import And, Falsum, Formula, Not, csf, sort_key
 
 
 @dataclass(frozen=True)
@@ -41,16 +43,6 @@ class Saturation:
 
     members: frozenset[Formula]
     seed: frozenset[Formula]
-
-    @property
-    def degree(self) -> int:
-        return set_degree(self.members)
-
-
-def _clashes(members: frozenset[Formula]) -> bool:
-    if FALSUM in members:
-        return True
-    return any(isinstance(f, Not) and f.child in members for f in members)
 
 
 # A rule: the formula it fires on, what it adds, and whether any one added
@@ -114,9 +106,13 @@ def _branches(
     closure is csf(seed).  A finished branch is a set no rule applies to.
     With within set, only moves that add a member of within are taken.
     Order matters: a disjunction rule is blocked once fulfilled, so an
-    element may be addable in one run order but not another.
+    element may be addable in one run order but not another.  A clashing
+    seed yields nothing; from a clash-free seed, no move adds a clash, so
+    every set reached is clash-free.
     """
     rules, clash = _table(closure)
+    if any(_conflicts(seed, f, clash) for f in seed):
+        return
     visited: set[frozenset[Formula]] = set()
     stack: list[frozenset[Formula]] = [seed]
     while stack:
@@ -142,8 +138,6 @@ def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
     classically inconsistent.
     """
     seed = frozenset(seed)
-    if _clashes(seed):
-        return
     for members in _branches(seed, csf(seed)):
         yield Saturation(members, seed)
 
@@ -160,17 +154,15 @@ def saturation_family(seed: frozenset[Formula]) -> tuple[Saturation, ...]:
 def is_saturation_of(candidate: Iterable[Formula], seed: Iterable[Formula]) -> bool:
     """Decide whether candidate is a saturation of seed.
 
-    Checks the containment bounds seed <= candidate <= csf(seed), that
-    candidate is clash-free, and that the branch search from seed,
-    restricted to candidate's members, finishes on it.  That search only
-    finishes on sets no rule applies to, so closedness needs no test of its
-    own; a clashing seed would finish on itself, hence the clash test.
+    Checks the containment bounds seed <= candidate <= csf(seed) and that
+    the branch search from seed, restricted to candidate's members,
+    finishes on it.  That search only finishes on clash-free sets no rule
+    applies to, so neither closedness nor clash-freeness needs a test of
+    its own.
     """
     candidate = frozenset(candidate)
     seed = frozenset(seed)
     closure = csf(seed)
     if not seed <= candidate <= closure:
-        return False
-    if _clashes(candidate):
         return False
     return candidate in _branches(seed, closure, within=candidate)

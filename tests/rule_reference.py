@@ -15,14 +15,70 @@ and `_successors`, `truth_set` and `_weakly_dense` below are the set form
 they replaced.  The saturation search used to re-sort a state's members
 and build fresh `Not` partners on every visit; it now reads a table built
 once per seed.  `_pending`, `_conflicts` and `_branches` below are the
-per-visit form it replaced.
+per-visit form it replaced.  The saturation module also used to test
+clashes with a `_clashes` of its own beside its clash table; it now reads
+the table alone, and `_clashes` below is a copy of the one it dropped, so
+that this reference shares nothing with the module it checks.  `csf` and
+`sf` used to be two copies of one closure walker; the package now has one
+walker with a flag, and `csf` and `sf` below are the two copies.
 """
 
 from functools import lru_cache
 
-from densemodal import MOD_A, And, Atom, Falsum, Not, csf, sort_key
+from densemodal import FALSUM, MOD_A, And, Atom, Box, Falsum, Not, sort_key
 from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _bits, _succ_masks
-from densemodal.saturation import _clashes
+
+
+def csf(formulas):
+    """Classical closure: split conjunctions and negations, never boxes."""
+    out = set()
+    todo = list(formulas)
+    while todo:
+        f = todo.pop()
+        if f in out:
+            continue
+        out.add(f)
+        if isinstance(f, And):
+            todo.append(f.left)
+            todo.append(f.right)
+        elif isinstance(f, Not):
+            c = f.child
+            todo.append(c)
+            if isinstance(c, And):
+                todo.append(Not(c.left))
+                todo.append(Not(c.right))
+    return frozenset(out)
+
+
+def sf(formulas):
+    """Full closure: like csf, but boxes and negated boxes unfold too."""
+    out = set()
+    todo = list(formulas)
+    while todo:
+        f = todo.pop()
+        if f in out:
+            continue
+        out.add(f)
+        if isinstance(f, And):
+            todo.append(f.left)
+            todo.append(f.right)
+        elif isinstance(f, Box):
+            todo.append(f.child)
+        elif isinstance(f, Not):
+            c = f.child
+            todo.append(c)
+            if isinstance(c, And):
+                todo.append(Not(c.left))
+                todo.append(Not(c.right))
+            elif isinstance(c, Box):
+                todo.append(Not(c.child))
+    return frozenset(out)
+
+
+def _clashes(members):
+    if FALSUM in members:
+        return True
+    return any(isinstance(f, Not) and f.child in members for f in members)
 
 
 def is_dense(model):

@@ -33,6 +33,7 @@ from densemodal import (
 )
 from densemodal.formula import MAX_DEPTH
 from conftest import NESTINGS, random_formula
+import rule_reference
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -163,6 +164,28 @@ class TestClosures:
             v = u | {random_formula(rng, 5, ["p", "q"])}
             assert csf(u) <= csf(v)
             assert sf(u) <= sf(v)
+
+
+class TestClosureReference:
+    """csf and sf share one walker; the two former walkers are the reference."""
+
+    @staticmethod
+    def seeds():
+        rng = random.Random(29)
+        for _ in range(2000):
+            yield frozenset(
+                random_formula(rng, 6, ["p", "q"], (MOD_A, MOD_B))
+                for _ in range(rng.randint(1, 3))
+            )
+        for phi in all_formulas(6, ["p"], (MOD_A, MOD_B)):
+            yield frozenset({phi})
+
+    def test_closures_match_the_former_walkers(self):
+        for u in self.seeds():
+            s = sf(u)
+            assert csf(u) == rule_reference.csf(u), u
+            assert s == rule_reference.sf(u), u
+            assert csf(s) == s, u
 
 
 class TestBoxInverse:

@@ -36,6 +36,7 @@ from densemodal.kdeab import _diamond_bodies
 from densemodal.saturation import saturation_family
 from conftest import random_formula
 from counter_reference import reference_sat_set, reference_window_chain
+import rule_reference
 
 P, Q = Atom("p"), Atom("q")
 
@@ -157,8 +158,19 @@ class TestSatSaturation:
             sat_saturation(Saturation(bad, bad))
 
     def test_counter_bound_of_worked_anchor(self):
-        # csf(sf(w)) has six elements and the degree is one: 2**(6*2).
+        # sf(w) has six elements and the degree is one: 2**(6*2).
         assert counter_bound(WORKED.members) == 4096
+
+    def test_counter_bound_matches_the_former_formula(self):
+        # counter_bound used to count csf(sf(anchor)) with the former
+        # closure walkers; sf alone is closed under csf, so it counts the same.
+        checked = 0
+        for phi in all_formulas(6, ["p"], modalities=(MOD_A, MOD_B)):
+            for s in saturation_family(frozenset({phi})):
+                m = len(rule_reference.csf(rule_reference.sf(s.members)))
+                assert counter_bound(s.members) == 2 ** (m * (set_degree(s.members) + 1)), s
+                checked += 1
+        assert checked > 2000
 
 
 def chain_graph(monkeypatch, edges):

@@ -33,9 +33,11 @@ from densemodal.oracle import (
     DENSE,
     WEAKLY_DENSE,
     ModelTables,
-    _dense_masks,
-    _frame_masks,
-    _weakly_dense_mask_pairs,
+    _dense_relations,
+    _frames,
+    _relations,
+    _succ_masks,
+    _weakly_dense_pairs,
 )
 from conftest import random_formula
 import rule_reference as reference
@@ -209,13 +211,26 @@ class TestFrameClasses:
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_mask_tables_match_reference(self):
+        # The oracle's frame tables hold successor masks, the reference's
+        # relation masks; mapping the latter through _succ_masks must give
+        # the same frames in the same order.
         for n in (1, 2, 3):
-            assert _dense_masks(n) == reference.dense_masks(n)
-            assert _weakly_dense_mask_pairs(n) == reference.weakly_dense_mask_pairs(n)
+            def succ(mask, n=n):
+                return _succ_masks(n, mask)
+
+            assert _relations(n) == tuple(map(succ, range(1 << (n * n))))
+            assert _dense_relations(n) == tuple(map(succ, reference.dense_masks(n)))
+            assert _weakly_dense_pairs(n) == tuple(
+                (succ(ra), succ(rb)) for ra, rb in reference.weakly_dense_mask_pairs(n)
+            )
             for frame_class in (ALL, DENSE, WEAKLY_DENSE):
                 for bimodal in (False, True):
-                    got = list(_frame_masks(n, frame_class, bimodal))
-                    assert got == list(reference.frame_masks(n, frame_class, bimodal))
+                    got = list(_frames(n, frame_class, bimodal))
+                    want = [
+                        (succ(ra), succ(rb))
+                        for ra, rb in reference.frame_masks(n, frame_class, bimodal)
+                    ]
+                    assert got == want, (n, frame_class, bimodal)
 
     def test_empty_relation_is_dense(self):
         assert is_dense(single_world())
