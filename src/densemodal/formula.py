@@ -6,11 +6,16 @@ sugar: the parser rewrites them into the core on the way in and the printer
 reintroduces them on the way out, so the solvers only ever handle five
 shapes.  Unimodal formulas use box index "a" internally; the printer writes
 a bare "[]"/"<>" for them in unimodal mode.
+
+Nodes are hash-consed: there is one object per distinct formula, so
+equality is identity and every set and memo of formulas hashes by
+identity.  Construction is single-threaded (see `Formula`).
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
@@ -33,30 +38,31 @@ class ParseError(Exception):
 class Formula:
     """Base of the five core node kinds.
 
-    Each node computes three values once, at construction, from its
-    children's stored values: its hash, its sort key and its modal degree.
-    Set and dict operations therefore never walk the tree.  Equality is
-    structural: two nodes are equal exactly when their sort keys are, and
-    the keys are nested tuples that spell out the whole tree.  The stored
-    values take no part in repr.
+    Nodes are hash-consed: every constructor looks its kind and fields up
+    in one intern table first, so two equal formulas are one object and
+    equality is identity.  Sets, frozensets and dicts of formulas therefore
+    hash and compare nodes by identity, in C, and never walk the tree.  The
+    table holds its nodes weakly, so a formula nothing else refers to is
+    freed together with its entry.  Construction is single-threaded: two
+    threads building the same formula at once could each make a node.
+
+    Each node also computes its sort key and modal degree once, at
+    construction, from its children's stored values.  The stored values
+    take no part in repr.
     """
 
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash and self.sort_key == other.sort_key
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("__weakref__",)
 
     def __reduce__(self):
-        # Pickles rebuild through the constructor: string hashes, and with
-        # them every stored hash, differ between processes.
+        # Pickles rebuild through the constructor, so a loaded formula is
+        # interned like any other.
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __str__(self) -> str:
         return render(self)
@@ -71,80 +77,127 @@ def _stored():
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+# The intern table: (kind, fields) -> the entry of the one node with them.
+# Fields that are nodes are keyed by identity, which is sound because
+# they are interned too.  An entry leaves the table when its node is freed.
+_table: dict[tuple, _Entry] = {}
+
+
+def _drop(entry: _Entry, table: dict = _table) -> None:
+    # The table is bound as a default, not read as a global, because nodes
+    # are still freed while the interpreter tears modules down.
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+def _absent() -> None:
+    # Stands in for a missing entry: `_table.get(key, _absent)()` is the
+    # node filed under key, or None.
+    return None
+
+
+def _new(cls: type, key: tuple) -> Formula:
+    """A fresh node of kind cls, entered in the table under key."""
+    node = object.__new__(cls)
+    entry = _table[key] = _Entry(node, _drop)
+    entry.key = key
+    return node
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Atom(Formula):
     name: str
     sort_key: tuple = _stored()
     degree: int = _stored()
-    _hash: int = _stored()
 
-    def __init__(self, name: str) -> None:
-        key = (1, name)
-        _set(self, "name", name)
-        _set(self, "sort_key", key)
-        _set(self, "degree", 0)
-        _set(self, "_hash", hash(key))
+    def __new__(cls, name: str) -> Atom:
+        key = (cls, name)
+        node = _table.get(key, _absent)()
+        if node is None:
+            node = _new(cls, key)
+            _set(node, "name", name)
+            _set(node, "sort_key", (1, name))
+            _set(node, "degree", 0)
+        return node
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Falsum(Formula):
     sort_key: tuple = _stored()
     degree: int = _stored()
-    _hash: int = _stored()
 
-    def __init__(self) -> None:
-        _set(self, "sort_key", (0,))
-        _set(self, "degree", 0)
-        _set(self, "_hash", hash((0,)))
+    def __new__(cls) -> Falsum:
+        key = (cls,)
+        node = _table.get(key, _absent)()
+        if node is None:
+            node = _new(cls, key)
+            _set(node, "sort_key", (0,))
+            _set(node, "degree", 0)
+        return node
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Not(Formula):
     child: Formula
     sort_key: tuple = _stored()
     degree: int = _stored()
-    _hash: int = _stored()
 
-    def __init__(self, child: Formula) -> None:
-        _set(self, "child", child)
-        _set(self, "sort_key", (2, child.sort_key))
-        _set(self, "degree", child.degree)
-        _set(self, "_hash", hash((2, child._hash)))
+    def __new__(cls, child: Formula) -> Not:
+        key = (cls, child)
+        node = _table.get(key, _absent)()
+        if node is None:
+            node = _new(cls, key)
+            _set(node, "child", child)
+            _set(node, "sort_key", (2, child.sort_key))
+            _set(node, "degree", child.degree)
+        return node
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class And(Formula):
     left: Formula
     right: Formula
     sort_key: tuple = _stored()
     degree: int = _stored()
-    _hash: int = _stored()
 
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "sort_key", (3, left.sort_key, right.sort_key))
-        ld, rd = left.degree, right.degree
-        _set(self, "degree", ld if ld > rd else rd)
-        _set(self, "_hash", hash((3, left._hash, right._hash)))
+    def __new__(cls, left: Formula, right: Formula) -> And:
+        key = (cls, left, right)
+        node = _table.get(key, _absent)()
+        if node is None:
+            node = _new(cls, key)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _set(node, "sort_key", (3, left.sort_key, right.sort_key))
+            ld, rd = left.degree, right.degree
+            _set(node, "degree", ld if ld > rd else rd)
+        return node
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Box(Formula):
     modality: str
     child: Formula
     sort_key: tuple = _stored()
     degree: int = _stored()
-    _hash: int = _stored()
 
-    def __init__(self, modality: str, child: Formula) -> None:
-        if modality not in (MOD_A, MOD_B):
-            raise ValueError(f"unknown modality {modality!r}")
-        _set(self, "modality", modality)
-        _set(self, "child", child)
-        _set(self, "sort_key", (4, modality, child.sort_key))
-        _set(self, "degree", 1 + child.degree)
-        _set(self, "_hash", hash((4, modality, child._hash)))
+    def __new__(cls, modality: str, child: Formula) -> Box:
+        key = (cls, modality, child)
+        node = _table.get(key, _absent)()
+        if node is None:
+            if modality not in (MOD_A, MOD_B):
+                raise ValueError(f"unknown modality {modality!r}")
+            node = _new(cls, key)
+            _set(node, "modality", modality)
+            _set(node, "child", child)
+            _set(node, "sort_key", (4, modality, child.sort_key))
+            _set(node, "degree", 1 + child.degree)
+        return node
 
 
 FALSUM = Falsum()
@@ -170,7 +223,8 @@ def sort_key(phi: Formula) -> tuple:
     """Total structural order on formulas, stored on each node.
 
     Every enumeration in the package iterates formulas in this order, so
-    results are reproducible across processes regardless of hash seeding.
+    results are reproducible across processes: sets of formulas hash by
+    identity and iterate in an order that follows memory layout.
     """
     return phi.sort_key
 

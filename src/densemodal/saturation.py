@@ -16,7 +16,8 @@ Every set the rules reach lies in the seed's classical closure csf(seed),
 and so does every formula a rule adds or a clash test asks for.  The rules
 and clashes are therefore written once, in `_table`, which lists the
 closure in sort_key order with each member's rule and clashes; it is built
-once per search and read by `_pending` and `_conflicts` at every visited
+once per seed (`saturation_test` keeps it for every candidate tested
+against one seed) and read by `_pending` and `_conflicts` at every visited
 set.  `_branches` explores them: a depth-first search over the graph of
 intermediate sets, which covers every application order.  It first tests
 the seed against the same clash table: a clashing seed ends the search at
@@ -32,7 +33,7 @@ callers treat the empty stream as the failed branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .formula import And, Falsum, Formula, Not, csf, sort_key
 
@@ -98,19 +99,19 @@ def _pending(members: frozenset[Formula], rules: list[_Rule]) -> list[Formula]:
 
 def _branches(
     seed: frozenset[Formula],
-    closure: frozenset[Formula],
+    table: tuple[list[_Rule], _Clash],
     within: Optional[frozenset[Formula]] = None,
 ) -> Iterator[frozenset[Formula]]:
     """Depth-first over the graph of partial branches; yields finished ones.
 
-    closure is csf(seed).  A finished branch is a set no rule applies to.
-    With within set, only moves that add a member of within are taken.
-    Order matters: a disjunction rule is blocked once fulfilled, so an
-    element may be addable in one run order but not another.  A clashing
-    seed yields nothing; from a clash-free seed, no move adds a clash, so
-    every set reached is clash-free.
+    table is `_table(csf(seed))`.  A finished branch is a set no rule
+    applies to.  With within set, only moves that add a member of within
+    are taken.  Order matters: a disjunction rule is blocked once
+    fulfilled, so an element may be addable in one run order but not
+    another.  A clashing seed yields nothing; from a clash-free seed, no
+    move adds a clash, so every set reached is clash-free.
     """
-    rules, clash = _table(closure)
+    rules, clash = table
     if any(_conflicts(seed, f, clash) for f in seed):
         return
     visited: set[frozenset[Formula]] = set()
@@ -138,7 +139,7 @@ def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
     classically inconsistent.
     """
     seed = frozenset(seed)
-    for members in _branches(seed, csf(seed)):
+    for members in _branches(seed, _table(csf(seed))):
         yield Saturation(members, seed)
 
 
@@ -151,6 +152,25 @@ def saturation_family(seed: frozenset[Formula]) -> tuple[Saturation, ...]:
     return tuple(saturations(seed))
 
 
+def saturation_test(seed: Iterable[Formula]) -> Callable[[Iterable[Formula]], bool]:
+    """`is_saturation_of(candidate, seed)` as a function of the candidate.
+
+    The seed's closure and rule table are built once, here, for all the
+    candidates tested against the same seed.
+    """
+    seed = frozenset(seed)
+    closure = csf(seed)
+    table = _table(closure)
+
+    def test(candidate: Iterable[Formula]) -> bool:
+        candidate = frozenset(candidate)
+        if not seed <= candidate <= closure:
+            return False
+        return candidate in _branches(seed, table, within=candidate)
+
+    return test
+
+
 def is_saturation_of(candidate: Iterable[Formula], seed: Iterable[Formula]) -> bool:
     """Decide whether candidate is a saturation of seed.
 
@@ -160,9 +180,4 @@ def is_saturation_of(candidate: Iterable[Formula], seed: Iterable[Formula]) -> b
     applies to, so neither closedness nor clash-freeness needs a test of
     its own.
     """
-    candidate = frozenset(candidate)
-    seed = frozenset(seed)
-    closure = csf(seed)
-    if not seed <= candidate <= closure:
-        return False
-    return candidate in _branches(seed, closure, within=candidate)
+    return saturation_test(seed)(candidate)

@@ -19,10 +19,10 @@ never materializes one because a repeated window lets the chain loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .formula import Formula, MOD_A, MOD_B, box_inverse, render, set_degree, sorted_formulas
-from .saturation import Saturation, is_saturation_of, saturation_family
+from .saturation import Saturation, is_saturation_of, saturation_family, saturation_test
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,9 @@ def continuations(window: Window) -> Iterator[Window]:
     anchor = window.anchor
     k = window.k
     boxa = box_inverse(anchor.members, MOD_A)
+    # One membership test per shifted seed, shared by every candidate and
+    # every suffix that asks for it.
+    tests: dict[frozenset[Formula], Callable[[frozenset[Formula]], bool]] = {}
 
     def choose(j: int, suffix: tuple[frozenset[Formula], ...]) -> Iterator[Window]:
         if j == 0:
@@ -95,9 +98,12 @@ def continuations(window: Window) -> Iterator[Window]:
             return
         boxb_next = box_inverse(suffix[0], MOD_B)
         chain_seed = frozenset(boxb_next | window.parts[j])
-        shifted_seed = frozenset(boxa | boxb_next)
+        shifted_seed = boxa | boxb_next
+        in_shifted = tests.get(shifted_seed)
+        if in_shifted is None:
+            in_shifted = tests[shifted_seed] = saturation_test(shifted_seed)
         for cand in saturation_family(chain_seed):
-            if is_saturation_of(cand.members, shifted_seed):
+            if in_shifted(cand.members):
                 yield from choose(j - 1, (cand.members,) + suffix)
 
     yield from choose(k + 1, ())

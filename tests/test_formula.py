@@ -1,3 +1,5 @@
+import copy
+import gc
 import os
 import pickle
 import random
@@ -31,6 +33,7 @@ from densemodal import (
     size,
     sort_key,
 )
+from densemodal import formula
 from densemodal.formula import MAX_DEPTH
 from conftest import NESTINGS, random_formula
 import rule_reference
@@ -331,7 +334,7 @@ def ref_equal(f, g):
 
 
 def rebuild(phi):
-    """A copy of phi that shares no node with it."""
+    """phi built again, node by node, through the constructors."""
     if isinstance(phi, Falsum):
         return Falsum()
     if isinstance(phi, Atom):
@@ -362,7 +365,7 @@ class TestStoredMeasures:
     def test_separately_built_equal_formulas_hash_alike(self, modalities):
         for phi in _corpus(31, modalities):
             twin = rebuild(phi)
-            assert twin is not phi
+            assert twin is phi
             assert twin == phi
             assert hash(twin) == hash(phi)
             assert {phi: 1}[twin] == 1
@@ -388,8 +391,8 @@ class TestStoredMeasures:
         assert FALSUM != 0
 
     def test_pickle_rebuilds_the_hash_in_the_loading_process(self):
-        # String hashes are salted per process, so a pickle written by a
-        # process with another hash seed must not carry its stored hashes.
+        # A pickle written by a process with another hash seed rebuilds
+        # through the constructors, so it loads as this process's node.
         phi = parse("[a](p & ~q) -> <b>r", BIMODAL)
         code = (
             "import pickle, sys; from densemodal import parse; "
@@ -402,9 +405,32 @@ class TestStoredMeasures:
             [sys.executable, "-c", code], env=env, capture_output=True, check=True
         ).stdout
         loaded = pickle.loads(data)
+        assert loaded is phi
         assert loaded == phi
         assert hash(loaded) == hash(phi)
         assert loaded in {phi}
+
+
+class TestInterning:
+    def test_table_holds_no_dead_formulas(self):
+        gc.collect()
+        before = len(formula._table)
+        built = [And(Atom(f"x{i}"), Box(MOD_B, Not(Atom(f"y{i}")))) for i in range(10_000)]
+        assert len(formula._table) >= before + 10_000
+        del built
+        gc.collect()
+        assert len(formula._table) == before
+
+    def test_equal_formulas_are_one_node(self):
+        text = "[a](p & ~q) -> <b>r"
+        assert parse(text, BIMODAL) is parse(text, BIMODAL)
+        assert Falsum() is FALSUM
+        assert Box(MOD_A, Not(P)) is not Box(MOD_B, Not(P))
+
+    def test_copies_are_the_same_node(self):
+        phi = parse(NESTINGS["box"](MAX_DEPTH))
+        assert copy.copy(phi) is phi
+        assert copy.deepcopy(phi) is phi
 
 
 class TestDepthBound:

@@ -16,7 +16,12 @@ from densemodal import (
     set_size,
     sort_key,
 )
-from densemodal.saturation import is_saturation_of, saturation_family, saturations
+from densemodal.saturation import (
+    is_saturation_of,
+    saturation_family,
+    saturation_test,
+    saturations,
+)
 from conftest import random_formula
 import rule_reference as reference
 
@@ -197,6 +202,22 @@ class TestMembership:
                 for cand in [members, *near]:
                     assert is_saturation_of(cand, seed) == reference.is_saturation_of(cand, seed)
 
+    def test_one_test_serves_every_candidate(self):
+        # saturation_test builds the seed's table once; reusing it across
+        # candidates must answer as a fresh membership test does.
+        rng = random.Random(67)
+        for _ in range(500):
+            seed = frozenset(
+                random_formula(rng, 6, ["p", "q"], (MOD_A, MOD_B))
+                for _ in range(rng.randint(1, 3))
+            )
+            test = saturation_test(seed)
+            universe = csf(seed)
+            for members in members_of(seed):
+                near = [members | {x} for x in universe - members]
+                for cand in [members, *near, seed]:
+                    assert test(cand) == reference.is_saturation_of(cand, seed)
+
 
 class TestReference:
     """The table-driven search against the per-visit rules it replaced."""
@@ -234,14 +255,14 @@ class TestReference:
         bound = 2 * len(csf(seed))
         assert bound == 88
         built = 0
-        init = Not.__init__
+        new = Not.__new__
 
-        def counting(self, child):
+        def counting(cls, child):
             nonlocal built
             built += 1
-            init(self, child)
+            return new(cls, child)
 
-        monkeypatch.setattr(Not, "__init__", counting)
+        monkeypatch.setattr(Not, "__new__", counting)
         family = saturation_family(seed)
         monkeypatch.undo()
         assert len(family) == 32
