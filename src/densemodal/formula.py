@@ -77,37 +77,10 @@ def _stored():
 _set = object.__setattr__
 
 
-class _Entry(weakref.ref):
-    """The intern table's weak reference to a node, with the node's key."""
-
-    __slots__ = ("key",)
-
-
-# The intern table: (kind, fields) -> the entry of the one node with them.
-# Fields that are nodes are keyed by identity, which is sound because
-# they are interned too.  An entry leaves the table when its node is freed.
-_table: dict[tuple, _Entry] = {}
-
-
-def _drop(entry: _Entry, table: dict = _table) -> None:
-    # The table is bound as a default, not read as a global, because nodes
-    # are still freed while the interpreter tears modules down.
-    if table.get(entry.key) is entry:
-        del table[entry.key]
-
-
-def _absent() -> None:
-    # Stands in for a missing entry: `_table.get(key, _absent)()` is the
-    # node filed under key, or None.
-    return None
-
-
-def _new(cls: type, key: tuple) -> Formula:
-    """A fresh node of kind cls, entered in the table under key."""
-    node = object.__new__(cls)
-    entry = _table[key] = _Entry(node, _drop)
-    entry.key = key
-    return node
+# The intern table: (kind, fields) -> the one node with them.  Fields that
+# are nodes are keyed by identity, which is sound because they are
+# interned too.  An entry leaves the table when its node is freed.
+_table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -118,9 +91,9 @@ class Atom(Formula):
 
     def __new__(cls, name: str) -> Atom:
         key = (cls, name)
-        node = _table.get(key, _absent)()
+        node = _table.get(key)
         if node is None:
-            node = _new(cls, key)
+            node = _table[key] = object.__new__(cls)
             _set(node, "name", name)
             _set(node, "sort_key", (1, name))
             _set(node, "degree", 0)
@@ -134,9 +107,9 @@ class Falsum(Formula):
 
     def __new__(cls) -> Falsum:
         key = (cls,)
-        node = _table.get(key, _absent)()
+        node = _table.get(key)
         if node is None:
-            node = _new(cls, key)
+            node = _table[key] = object.__new__(cls)
             _set(node, "sort_key", (0,))
             _set(node, "degree", 0)
         return node
@@ -150,9 +123,9 @@ class Not(Formula):
 
     def __new__(cls, child: Formula) -> Not:
         key = (cls, child)
-        node = _table.get(key, _absent)()
+        node = _table.get(key)
         if node is None:
-            node = _new(cls, key)
+            node = _table[key] = object.__new__(cls)
             _set(node, "child", child)
             _set(node, "sort_key", (2, child.sort_key))
             _set(node, "degree", child.degree)
@@ -168,9 +141,9 @@ class And(Formula):
 
     def __new__(cls, left: Formula, right: Formula) -> And:
         key = (cls, left, right)
-        node = _table.get(key, _absent)()
+        node = _table.get(key)
         if node is None:
-            node = _new(cls, key)
+            node = _table[key] = object.__new__(cls)
             _set(node, "left", left)
             _set(node, "right", right)
             _set(node, "sort_key", (3, left.sort_key, right.sort_key))
@@ -188,11 +161,11 @@ class Box(Formula):
 
     def __new__(cls, modality: str, child: Formula) -> Box:
         key = (cls, modality, child)
-        node = _table.get(key, _absent)()
+        node = _table.get(key)
         if node is None:
             if modality not in (MOD_A, MOD_B):
                 raise ValueError(f"unknown modality {modality!r}")
-            node = _new(cls, key)
+            node = _table[key] = object.__new__(cls)
             _set(node, "modality", modality)
             _set(node, "child", child)
             _set(node, "sort_key", (4, modality, child.sort_key))

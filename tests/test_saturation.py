@@ -188,25 +188,11 @@ class TestMembership:
         for seed, candidates in membership_cases():
             for cand in candidates:
                 assert is_saturation_of(cand, seed) == reference.is_saturation_of(cand, seed)
-        # Random seeds with their saturations and every set one member away.
+        # Random seeds with their saturations, every set one member away and
+        # the seed itself.  One saturation_test per seed serves every
+        # candidate and must answer as a fresh membership test does.
         rng = random.Random(59)
         for _ in range(2000):
-            seed = frozenset(
-                random_formula(rng, 6, ["p", "q"], (MOD_A, MOD_B))
-                for _ in range(rng.randint(1, 3))
-            )
-            universe = csf(seed)
-            for members in members_of(seed):
-                near = [members | {x} for x in universe - members]
-                near += [members - {x} for x in members - seed]
-                for cand in [members, *near]:
-                    assert is_saturation_of(cand, seed) == reference.is_saturation_of(cand, seed)
-
-    def test_one_test_serves_every_candidate(self):
-        # saturation_test builds the seed's table once; reusing it across
-        # candidates must answer as a fresh membership test does.
-        rng = random.Random(67)
-        for _ in range(500):
             seed = frozenset(
                 random_formula(rng, 6, ["p", "q"], (MOD_A, MOD_B))
                 for _ in range(rng.randint(1, 3))
@@ -215,8 +201,11 @@ class TestMembership:
             universe = csf(seed)
             for members in members_of(seed):
                 near = [members | {x} for x in universe - members]
+                near += [members - {x} for x in members - seed]
                 for cand in [members, *near, seed]:
-                    assert test(cand) == reference.is_saturation_of(cand, seed)
+                    expected = reference.is_saturation_of(cand, seed)
+                    assert is_saturation_of(cand, seed) == expected
+                    assert test(cand) == expected
 
 
 class TestReference:
