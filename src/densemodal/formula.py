@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 MOD_A = "a"
@@ -38,42 +37,59 @@ class ParseError(Exception):
 class Formula:
     """Base of the five core node kinds.
 
-    Nodes are hash-consed: every constructor looks its kind and fields up
-    in one intern table first, so two equal formulas are one object and
-    equality is identity.  Sets, frozensets and dicts of formulas therefore
-    hash and compare nodes by identity, in C, and never walk the tree.  The
-    table holds its nodes weakly, so a formula nothing else refers to is
-    freed together with its entry.  Construction is single-threaded: two
-    threads building the same formula at once could each make a node.
+    Nodes are hash-consed: every kind is built by this one constructor,
+    which looks its kind and fields up in one intern table first, so two
+    equal formulas are one object and equality is identity.  Sets,
+    frozensets and dicts of formulas therefore hash and compare nodes by
+    identity, in C, and never walk the tree.  The table holds its nodes
+    weakly, so a formula nothing else refers to is freed together with its
+    entry.  Construction is single-threaded: two threads building the same
+    formula at once could each make a node.
 
-    Each node also computes its sort key and modal degree once, at
-    construction, from its children's stored values.  The stored values
-    take no part in repr.
+    Each kind names its fields in `__match_args__`, which repr and pickling
+    read.  On a table miss its `_init` stores them, in one call, with the
+    sort key and modal degree computed from the children's stored values.
+    Nodes are immutable, and the stored values take no part in repr.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("sort_key", "degree", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, fields)
+        ref = _refs.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            node._init(*fields)
+            _table[key] = node
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         # Pickles rebuild through the constructor, so a loaded formula is
         # interned like any other.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-    def __copy__(self):
+    def __copy__(self, memo=None):
         return self
 
-    def __deepcopy__(self, memo):
-        return self
+    __deepcopy__ = __copy__
 
     def __str__(self) -> str:
         return render(self)
 
 
-def _stored():
-    return field(init=False, repr=False)
-
-
-# Nodes are frozen, so their constructors store fields through object's
-# own __setattr__.
+# Nodes are immutable, so `_init` stores fields through object's own
+# __setattr__.
 _set = object.__setattr__
 
 
@@ -81,96 +97,60 @@ _set = object.__setattr__
 # are nodes are keyed by identity, which is sound because they are
 # interned too.  An entry leaves the table when its node is freed.
 _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Lookups read the table's dict of weak references instead of calling the
+# Python-level WeakValueDictionary.get, which keeps a hit through the one
+# varargs constructor as cheap as it was with one constructor per kind.  A
+# dead reference reads as a miss; inserts go through the table.
+_refs = _table.data
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Atom(Formula):
-    name: str
-    sort_key: tuple = _stored()
-    degree: int = _stored()
+    __slots__ = __match_args__ = ("name",)
 
-    def __new__(cls, name: str) -> Atom:
-        key = (cls, name)
-        node = _table.get(key)
-        if node is None:
-            node = _table[key] = object.__new__(cls)
-            _set(node, "name", name)
-            _set(node, "sort_key", (1, name))
-            _set(node, "degree", 0)
-        return node
+    def _init(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "sort_key", (1, name))
+        _set(self, "degree", 0)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Falsum(Formula):
-    sort_key: tuple = _stored()
-    degree: int = _stored()
+    __slots__ = ()
 
-    def __new__(cls) -> Falsum:
-        key = (cls,)
-        node = _table.get(key)
-        if node is None:
-            node = _table[key] = object.__new__(cls)
-            _set(node, "sort_key", (0,))
-            _set(node, "degree", 0)
-        return node
+    def _init(self) -> None:
+        _set(self, "sort_key", (0,))
+        _set(self, "degree", 0)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Not(Formula):
-    child: Formula
-    sort_key: tuple = _stored()
-    degree: int = _stored()
+    __slots__ = __match_args__ = ("child",)
 
-    def __new__(cls, child: Formula) -> Not:
-        key = (cls, child)
-        node = _table.get(key)
-        if node is None:
-            node = _table[key] = object.__new__(cls)
-            _set(node, "child", child)
-            _set(node, "sort_key", (2, child.sort_key))
-            _set(node, "degree", child.degree)
-        return node
+    def _init(self, child: Formula) -> None:
+        _set(self, "child", child)
+        _set(self, "sort_key", (2, child.sort_key))
+        _set(self, "degree", child.degree)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class And(Formula):
-    left: Formula
-    right: Formula
-    sort_key: tuple = _stored()
-    degree: int = _stored()
+    __slots__ = __match_args__ = ("left", "right")
 
-    def __new__(cls, left: Formula, right: Formula) -> And:
-        key = (cls, left, right)
-        node = _table.get(key)
-        if node is None:
-            node = _table[key] = object.__new__(cls)
-            _set(node, "left", left)
-            _set(node, "right", right)
-            _set(node, "sort_key", (3, left.sort_key, right.sort_key))
-            ld, rd = left.degree, right.degree
-            _set(node, "degree", ld if ld > rd else rd)
-        return node
+    def _init(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "sort_key", (3, left.sort_key, right.sort_key))
+        ld, rd = left.degree, right.degree
+        _set(self, "degree", ld if ld > rd else rd)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Box(Formula):
-    modality: str
-    child: Formula
-    sort_key: tuple = _stored()
-    degree: int = _stored()
+    __slots__ = __match_args__ = ("modality", "child")
 
-    def __new__(cls, modality: str, child: Formula) -> Box:
-        key = (cls, modality, child)
-        node = _table.get(key)
-        if node is None:
-            if modality not in (MOD_A, MOD_B):
-                raise ValueError(f"unknown modality {modality!r}")
-            node = _table[key] = object.__new__(cls)
-            _set(node, "modality", modality)
-            _set(node, "child", child)
-            _set(node, "sort_key", (4, modality, child.sort_key))
-            _set(node, "degree", 1 + child.degree)
-        return node
+    def _init(self, modality: str, child: Formula) -> None:
+        if modality not in (MOD_A, MOD_B):
+            raise ValueError(f"unknown modality {modality!r}")
+        _set(self, "modality", modality)
+        _set(self, "child", child)
+        _set(self, "sort_key", (4, modality, child.sort_key))
+        _set(self, "degree", 1 + child.degree)
 
 
 FALSUM = Falsum()
@@ -314,14 +294,33 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>\[a\]|\[b\]|\[\]|<a>|<b>|<>|->|[&|~()])"
 )
 
-_UNARY_TOKENS = {"~", "[]", "<>", "[a]", "[b]", "<a>", "<b>"}
+_CONSTANTS = {"false": FALSUM, "true": TOP}
+
+# Unary tokens: the one mode each may be written in (None: both) and the
+# node it builds around its operand.
+_UNARY = {
+    "~": (None, Not),
+    "[]": (UNIMODAL, lambda child: Box(MOD_A, child)),
+    "<>": (UNIMODAL, lambda child: diamond(MOD_A, child)),
+    "[a]": (BIMODAL, lambda child: Box(MOD_A, child)),
+    "[b]": (BIMODAL, lambda child: Box(MOD_B, child)),
+    "<a>": (BIMODAL, lambda child: diamond(MOD_A, child)),
+    "<b>": (BIMODAL, lambda child: diamond(MOD_B, child)),
+}
+
+# Binary tokens: precedence (higher binds tighter) and the core form they
+# build.  All three are right-associative.
+_BINARY = {"&": (3, And), "|": (2, lor), "->": (1, implies)}
 
 # Deepest nesting the parser accepts: every unary operator, every opening
 # parenthesis and every binary operator on the right spine of a chain
-# counts one level.  This is the largest depth at which the CLI's
-# translate, oracle and kde commands answer every nesting shape with 100
-# frames of caller stack to spare under the default recursion limit of
-# 1000; nested parentheses, at five parser frames a level, set it.
+# counts one level.  At this depth the CLI's translate, oracle and kde
+# commands answer every nesting shape with at least 100 frames of caller
+# stack to spare under the default recursion limit of 1000.  Nested
+# parentheses, at five parser frames a level (about 890 frames), first set
+# it; the one precedence loop takes three a level (about 540), so the
+# deepest stack at this depth is now translate's on a diamond chain, at
+# about 710 frames.
 MAX_DEPTH = 176
 
 
@@ -352,35 +351,9 @@ def parse(text: str, mode: str = UNIMODAL) -> Formula:
     """
     if mode not in (UNIMODAL, BIMODAL):
         raise ValueError(f"unknown mode {mode!r}")
-    tokens = _tokenize(text)
-    index = 0
-
-    def peek() -> tuple[str, str, int]:
-        return tokens[index]
-
-    def advance() -> tuple[str, str, int]:
-        nonlocal index
-        tok = tokens[index]
-        index += 1
-        return tok
-
-    def unary_node(op: str, pos: int, child: Formula) -> Formula:
-        if op == "~":
-            return Not(child)
-        if op in ("[]", "<>"):
-            if mode == BIMODAL:
-                raise ParseError(
-                    f"bare {op!r} is not available in bimodal mode", pos
-                )
-            return Box(MOD_A, child) if op == "[]" else diamond(MOD_A, child)
-        if mode == UNIMODAL:
-            raise ParseError(
-                f"indexed operator {op!r} is not available in unimodal mode", pos
-            )
-        modality = MOD_A if op in ("[a]", "<a>") else MOD_B
-        if op.startswith("["):
-            return Box(modality, child)
-        return diamond(modality, child)
+    # The tokens as a stack, next token on top.  Only a step that raises
+    # right after pops the end token, so tokens[-1] is always there.
+    tokens = _tokenize(text)[::-1]
 
     def deeper(depth: int, pos: int) -> int:
         if depth >= MAX_DEPTH:
@@ -388,54 +361,45 @@ def parse(text: str, mode: str = UNIMODAL) -> Formula:
         return depth + 1
 
     def parse_unary(depth: int) -> Formula:
-        kind, _, pos = peek()
-        if kind in _UNARY_TOKENS:
-            advance()
-            return unary_node(kind, pos, parse_unary(deeper(depth, pos)))
-        return parse_primary(depth)
+        kind, _, pos = tokens[-1]
+        if kind not in _UNARY:
+            return parse_primary(depth)
+        tokens.pop()
+        child = parse_unary(deeper(depth, pos))
+        only, build = _UNARY[kind]
+        if only is not None and only != mode:
+            what = "bare" if only == UNIMODAL else "indexed operator"
+            raise ParseError(f"{what} {kind!r} is not available in {mode} mode", pos)
+        return build(child)
 
     def parse_primary(depth: int) -> Formula:
-        kind, word, pos = advance()
+        kind, word, pos = tokens.pop()
         if kind == "atom":
             return Atom(word)
-        if kind == "false":
-            return FALSUM
-        if kind == "true":
-            return Not(FALSUM)
+        if kind in _CONSTANTS:
+            return _CONSTANTS[kind]
         if kind == "(":
-            inner = parse_implies(deeper(depth, pos))
-            closing, _, cpos = advance()
+            inner = parse_binary(1, deeper(depth, pos))
+            closing, _, cpos = tokens.pop()
             if closing != ")":
                 raise ParseError("expected ')'", cpos)
             return inner
         raise ParseError("expected a formula", pos)
 
-    def parse_and(depth: int) -> Formula:
+    def parse_binary(lowest: int, depth: int) -> Formula:
+        # Precedence climbing: take operators binding at least as tightly
+        # as `lowest`, each one's right operand one level deeper.
         left = parse_unary(depth)
-        kind, _, pos = peek()
-        if kind == "&":
-            advance()
-            return And(left, parse_and(deeper(depth, pos)))
-        return left
+        while True:
+            kind, _, pos = tokens[-1]
+            precedence, build = _BINARY.get(kind, (0, None))
+            if precedence < lowest:
+                return left
+            tokens.pop()
+            left = build(left, parse_binary(precedence, deeper(depth, pos)))
 
-    def parse_or(depth: int) -> Formula:
-        left = parse_and(depth)
-        kind, _, pos = peek()
-        if kind == "|":
-            advance()
-            return lor(left, parse_or(deeper(depth, pos)))
-        return left
-
-    def parse_implies(depth: int) -> Formula:
-        left = parse_or(depth)
-        kind, _, pos = peek()
-        if kind == "->":
-            advance()
-            return implies(left, parse_implies(deeper(depth, pos)))
-        return left
-
-    result = parse_implies(0)
-    kind, word, pos = peek()
+    result = parse_binary(1, 0)
+    kind, word, pos = tokens[-1]
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {word!r}", pos)
     return result
@@ -466,25 +430,13 @@ def _wrap(rendered: tuple[str, int], minimum: int) -> str:
     return f"({text})" if level < minimum else text
 
 
-def _box_symbol(modality: str, mode: str) -> str:
-    if mode == UNIMODAL:
-        return "[]"
-    return "[a]" if modality == MOD_A else "[b]"
-
-
-def _diamond_symbol(modality: str, mode: str) -> str:
-    if mode == UNIMODAL:
-        return "<>"
-    return "<a>" if modality == MOD_A else "<b>"
-
-
 def _render(phi: Formula, mode: str) -> tuple[str, int]:
     if isinstance(phi, Atom):
         return phi.name, _LV_TIGHT
     if isinstance(phi, Falsum):
         return "false", _LV_TIGHT
     if isinstance(phi, Box):
-        sym = _box_symbol(phi.modality, mode)
+        sym = "[]" if mode == UNIMODAL else f"[{phi.modality}]"
         return sym + _wrap(_render(phi.child, mode), _LV_TIGHT), _LV_TIGHT
     if isinstance(phi, And):
         left = _wrap(_render(phi.left, mode), _LV_AND + 1)
@@ -495,7 +447,7 @@ def _render(phi: Formula, mode: str) -> tuple[str, int]:
     if isinstance(c, Falsum):
         return "true", _LV_TIGHT
     if isinstance(c, Box) and isinstance(c.child, Not):
-        sym = _diamond_symbol(c.modality, mode)
+        sym = "<>" if mode == UNIMODAL else f"<{c.modality}>"
         return sym + _wrap(_render(c.child.child, mode), _LV_TIGHT), _LV_TIGHT
     if isinstance(c, And):
         if isinstance(c.left, Not) and isinstance(c.right, Not):

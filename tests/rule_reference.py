@@ -20,12 +20,33 @@ clashes with a `_clashes` of its own beside its clash table; it now reads
 the table alone, and `_clashes` below is a copy of the one it dropped, so
 that this reference shares nothing with the module it checks.  `csf` and
 `sf` used to be two copies of one closure walker; the package now has one
-walker with a flag, and `csf` and `sf` below are the two copies.
+walker with a flag, and `csf` and `sf` below are the two copies.  The
+parser used to write one function per binary operator and spell out each
+unary token in `unary_node`; it now climbs one operator table, and `parse`
+below is the form it replaced.
 """
 
+import re
 from functools import lru_cache
 
-from densemodal import FALSUM, MOD_A, And, Atom, Box, Falsum, Not, sort_key
+from densemodal import (
+    BIMODAL,
+    FALSUM,
+    MOD_A,
+    MOD_B,
+    UNIMODAL,
+    And,
+    Atom,
+    Box,
+    Falsum,
+    Not,
+    ParseError,
+    diamond,
+    implies,
+    lor,
+    sort_key,
+)
+from densemodal.formula import MAX_DEPTH
 from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _bits, _succ_masks
 
 
@@ -297,3 +318,123 @@ def saturation_family(seed):
     if _clashes(seed):
         return []
     return list(_branches(seed))
+
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<atom>[a-z][a-z0-9_]*)"
+    r"|(?P<op>\[a\]|\[b\]|\[\]|<a>|<b>|<>|->|[&|~()])"
+)
+
+_UNARY_TOKENS = {"~", "[]", "<>", "[a]", "[b]", "<a>", "<b>"}
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup == "atom":
+            word = m.group()
+            kind = word if word in ("false", "true") else "atom"
+            tokens.append((kind, word, pos))
+        elif m.lastgroup == "op":
+            tokens.append((m.group(), m.group(), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+def parse(text, mode=UNIMODAL):
+    """Concrete syntax to the core AST, one descent function per operator."""
+    if mode not in (UNIMODAL, BIMODAL):
+        raise ValueError(f"unknown mode {mode!r}")
+    tokens = _tokenize(text)
+    index = 0
+
+    def peek():
+        return tokens[index]
+
+    def advance():
+        nonlocal index
+        tok = tokens[index]
+        index += 1
+        return tok
+
+    def unary_node(op, pos, child):
+        if op == "~":
+            return Not(child)
+        if op in ("[]", "<>"):
+            if mode == BIMODAL:
+                raise ParseError(
+                    f"bare {op!r} is not available in bimodal mode", pos
+                )
+            return Box(MOD_A, child) if op == "[]" else diamond(MOD_A, child)
+        if mode == UNIMODAL:
+            raise ParseError(
+                f"indexed operator {op!r} is not available in unimodal mode", pos
+            )
+        modality = MOD_A if op in ("[a]", "<a>") else MOD_B
+        if op.startswith("["):
+            return Box(modality, child)
+        return diamond(modality, child)
+
+    def deeper(depth, pos):
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", pos)
+        return depth + 1
+
+    def parse_unary(depth):
+        kind, _, pos = peek()
+        if kind in _UNARY_TOKENS:
+            advance()
+            return unary_node(kind, pos, parse_unary(deeper(depth, pos)))
+        return parse_primary(depth)
+
+    def parse_primary(depth):
+        kind, word, pos = advance()
+        if kind == "atom":
+            return Atom(word)
+        if kind == "false":
+            return FALSUM
+        if kind == "true":
+            return Not(FALSUM)
+        if kind == "(":
+            inner = parse_implies(deeper(depth, pos))
+            closing, _, cpos = advance()
+            if closing != ")":
+                raise ParseError("expected ')'", cpos)
+            return inner
+        raise ParseError("expected a formula", pos)
+
+    def parse_and(depth):
+        left = parse_unary(depth)
+        kind, _, pos = peek()
+        if kind == "&":
+            advance()
+            return And(left, parse_and(deeper(depth, pos)))
+        return left
+
+    def parse_or(depth):
+        left = parse_and(depth)
+        kind, _, pos = peek()
+        if kind == "|":
+            advance()
+            return lor(left, parse_or(deeper(depth, pos)))
+        return left
+
+    def parse_implies(depth):
+        left = parse_or(depth)
+        kind, _, pos = peek()
+        if kind == "->":
+            advance()
+            return implies(left, parse_implies(deeper(depth, pos)))
+        return left
+
+    result = parse_implies(0)
+    kind, word, pos = peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing input {word!r}", pos)
+    return result

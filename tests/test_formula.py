@@ -456,3 +456,103 @@ class TestDepthBound:
         assert size(parse(text)) == 64 * (MAX_DEPTH - 11) + 63
         with pytest.raises(ParseError):
             parse(balanced(64, "~" * (MAX_DEPTH - 11) + "p"))
+
+
+# The three corpora the benchmark's xval workload samples: 6,976 formulas.
+def _xval_corpus():
+    return (
+        all_formulas(7, ["p"], (MOD_A,))
+        + all_formulas(6, ["p", "q"], (MOD_A,))
+        + all_formulas(6, ["p"], (MOD_A, MOD_B))
+    )
+
+
+def _parsed(parser, text, mode):
+    """The node parser gives for text, or its error's message and column."""
+    try:
+        return parser(text, mode)
+    except ParseError as err:
+        return err.message, err.position
+
+
+def _assert_parsers_agree(texts):
+    for text in texts:
+        for mode in (UNIMODAL, BIMODAL):
+            assert _parsed(parse, text, mode) == _parsed(rule_reference.parse, text, mode), (
+                text,
+                mode,
+            )
+
+
+class TestParserReference:
+    """The precedence-climbing parser against the former descent parser."""
+
+    def test_every_render_of_the_xval_corpora(self):
+        corpus = _xval_corpus()
+        assert len(corpus) == 6976
+        texts = [render(f) for f in corpus]
+        texts += [render(f, BIMODAL) for f in corpus if is_unimodal(f)]
+        _assert_parsers_agree(texts)
+
+    def test_texts_with_one_character_inserted_deleted_or_swapped(self):
+        rng = random.Random(41)
+        corpus = _xval_corpus()
+        texts = []
+        while len(texts) < 2000:
+            text = render(rng.choice(corpus))
+            i = rng.randrange(len(text))
+            edit = rng.choice(("insert", "delete", "swap"))
+            if edit == "insert":
+                text = text[:i] + rng.choice("pqab ~&|-<>[]()?") + text[i:]
+            elif edit == "delete":
+                text = text[:i] + text[i + 1 :]
+            elif i + 1 < len(text):
+                text = text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+            else:
+                continue
+            texts.append(text)
+        _assert_parsers_agree(texts)
+
+    @pytest.mark.parametrize("shape", sorted(NESTINGS))
+    def test_every_nesting_shape_at_and_past_the_depth_bound(self, shape):
+        _assert_parsers_agree([NESTINGS[shape](MAX_DEPTH), NESTINGS[shape](MAX_DEPTH + 1)])
+
+
+NODE_FIELDS = {
+    Atom("p"): ("name",),
+    FALSUM: (),
+    Not(Atom("p")): ("child",),
+    And(Atom("p"), Atom("q")): ("left", "right"),
+    Box(MOD_B, Atom("p")): ("modality", "child"),
+}
+
+
+class TestNodeContract:
+    @pytest.mark.parametrize("node", list(NODE_FIELDS), ids=lambda n: type(n).__name__)
+    def test_fields_cannot_be_set_or_deleted(self, node):
+        before = {name: getattr(node, name) for name in NODE_FIELDS[node]}
+        for name in NODE_FIELDS[node] + ("sort_key", "degree", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, Atom("r"))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert {name: getattr(node, name) for name in NODE_FIELDS[node]} == before
+
+    def test_repr_shows_the_kind_and_its_fields(self):
+        assert repr(Atom("p")) == "Atom(name='p')"
+        assert repr(FALSUM) == "Falsum()"
+        assert repr(Not(P)) == "Not(child=Atom(name='p'))"
+        assert repr(And(P, Not(Q))) == (
+            "And(left=Atom(name='p'), right=Not(child=Atom(name='q')))"
+        )
+        assert repr(Box(MOD_B, P)) == "Box(modality='b', child=Atom(name='p'))"
+        for node in NODE_FIELDS:
+            assert "sort_key" not in repr(node) and "degree" not in repr(node)
+
+    def test_unknown_modality_is_rejected_and_leaves_no_node(self):
+        gc.collect()
+        before = len(formula._table)
+        with pytest.raises(ValueError, match="unknown modality 'c'"):
+            Box("c", Atom("p"))
+        gc.collect()
+        assert len(formula._table) == before
