@@ -9,9 +9,9 @@ errors, so deep input exits 65 instead of overflowing the stack.  A
 or --oracle-worlds, and a translate --fresh guard that is not an atom name
 are usage errors (64).  solve --logic kde is exponential in the free bits
 (atom and box subformulas) and refuses more than kde.FREE_BIT_LIMIT (12)
-with exit 64: 8, 10 and 12 free bits measured 0.4 s, 3.5 s and 66 s of
-wall time with 28 MB, 127 MB and 1.3 GB peak memory on a 2-vCPU host, and
-each further bit quadruples the work.
+with exit 64: with --stats --model, 8, 10 and 12 free bits measured 0.2 s,
+1.6-1.8 s and 37 s of wall time with 25 MB, 120 MB and 1.1 GB peak memory
+on a 2-vCPU host, and each further bit quadruples the work.
 
 Both logics take one solve path: valid mode asks the solver for the
 satisfiability of the negation, so INVALID carries the negation's witness
@@ -197,16 +197,17 @@ def _corpus_names(count: int) -> tuple[str, ...]:
 def _fixpoint_failures(result: KdeResult, phi: Formula) -> list[str]:
     """kde's checks of the whole fixpoint frame, beyond the witness.
 
-    The frame is dense, and every profile satisfies exactly its own bits.
-    All entries are evaluated on one set of model tables with one memo.
+    The frame is dense, and every profile satisfies exactly its own bits:
+    each entry's truth mask equals the mask of the profiles that set its
+    bit (world w is the w-th profile).  All entries are evaluated on one set
+    of model tables with one memo.
     """
     frame, ix = result.frame, result.index
     order = sorted(frame.profiles)
     tables = ModelTables(frame_model(frame, ix, order[0]))
     failures = [] if tables.in_class(DENSE) else [f"fixpoint frame not dense: {phi}"]
     for i, entry in enumerate(ix.entries):
-        holds = tables.worlds_in(tables.truth(entry))
-        if any((world in holds) != (p[i] == 1) for world, p in enumerate(order)):
+        if tables.truth(entry) != sum(1 << w for w, p in enumerate(order) if p[i]):
             failures.append(f"profile bit mismatch: {phi} at entry {i}")
     return failures
 

@@ -51,8 +51,8 @@ Profile = tuple[int, ...]
 # Free bits live at atom and box positions; the profile count is 2**free
 # and the initial edge count up to 4**free.  Each further bit quadruples the
 # work: the 12-bit ladder rung (4,096 profiles, 4,515,840 edges) answers in
-# about 66 s with a 1.3 GB peak, so 13 bits could not answer in any time a
-# caller would wait.
+# about 37 s with a 1.1 GB peak, both set by the fixpoint, so 13 bits could
+# not answer in any time a caller would wait.
 FREE_BIT_LIMIT = 12
 
 
@@ -207,21 +207,28 @@ def frame_model(frame: ProfileFrame, ix: SubformulaIndex, root: Profile) -> Krip
     """Read a profile frame as a pointed Kripke model.
 
     Worlds are the profiles in lexicographic order; an atom holds where its
-    bit is set.
+    bit is set.  The edges go straight into one successor mask per world.
     """
     order = sorted(frame.profiles)
     ids = {p: i for i, p in enumerate(order)}
-    valuation: dict[str, set[int]] = {}
-    for i, f in enumerate(ix.entries):
-        if isinstance(f, Atom):
-            valuation[f.name] = {ids[p] for p in order if p[i] == 1}
-    return KripkeModel(
-        worlds=list(range(len(order))),
-        ra={(ids[x], ids[y]) for (x, y) in frame.rel},
-        rb=set(),
-        valuation=valuation,
-        root=ids[root],
-    )
+    succ = [0] * len(order)
+    # initial_frame pairs the profile objects themselves and refinement keeps
+    # its input's edge tuples, so edge ends are looked up by identity, which
+    # spares hashing a whole profile per end.  A frame whose edges hold
+    # copies of its profiles misses, and is read again by value.
+    by_id = {id(p): i for p, i in ids.items()}
+    try:
+        for x, y in frame.rel:
+            succ[by_id[id(x)]] |= 1 << by_id[id(y)]
+    except KeyError:
+        for x, y in frame.rel:
+            succ[ids[x]] |= 1 << ids[y]
+    valuation = {
+        f.name: sum(1 << w for w, p in enumerate(order) if p[i])
+        for i, f in enumerate(ix.entries)
+        if isinstance(f, Atom)
+    }
+    return KripkeModel.from_masks(range(len(order)), succ, [0] * len(order), valuation, ids[root])
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,14 @@ standalone validity tableau for plain K.  Nothing in here shares search
 machinery with the solver modules; this module is the independent side of
 every cross-check.
 
-Checks run set-at-a-time on bitsets.  `ModelTables` numbers a model's
-worlds once and keeps one int successor mask per world and relation; an
-int is a set of worlds.  A box holds at w when w's successor mask has no
+A `KripkeModel` holds its worlds in ascending order and each relation in
+one form: one int successor mask per world, bit i standing for
+`worlds[i]`, so an int is a set of worlds.  It is immutable; `ra` and
+`rb` are read-only views of those masks as sets of edges, and the JSON
+writers read the masks bit by bit, which is world-id order.
+
+Checks run set-at-a-time on those bitsets.  `ModelTables` holds one
+model's truth sets.  A box holds at w when w's successor mask has no
 bit outside the body's truth set.  An ra edge (w, t) has a midpoint when
 t is in the union of the rb masks of w's ra successors: `_weakly_dense`
 is that test over successor masks, the only density test here.  It reads
@@ -24,10 +29,11 @@ check call it.  `model_check`, `truth_set`, `is_dense` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Set as AbstractSet
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import compress, product
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InvariantError
 from .formula import (
@@ -54,31 +60,138 @@ WEAKLY_DENSE = "weakly_dense"
 _SEARCH_BIT_LIMIT = 24
 
 
-@dataclass
 class KripkeModel:
-    """Finite pointed model; unimodal models simply leave rb empty."""
+    """Finite pointed model; unimodal models simply leave rb empty.
 
-    worlds: list[int]
-    ra: set[tuple[int, int]]
-    rb: set[tuple[int, int]]
-    valuation: dict[str, set[int]]
-    root: int
+    The worlds are held in ascending order, and bit i of every mask stands
+    for `worlds[i]`, so an int is a set of worlds.  Each relation is held
+    once, as one int successor mask per world, and each atom's worlds as
+    one int.  The public constructor takes edge sets and world-id sets;
+    `from_masks` takes the masks themselves.  Models are immutable: `ra`
+    and `rb` are read-only views of the masks as sets of (s, t) world-id
+    pairs, and `valuation` gives each atom's worlds as a frozenset.
+    """
 
-    def __post_init__(self) -> None:
-        ws = set(self.worlds)
-        if not ws:
-            raise ValueError("a model needs at least one world")
-        if self.root not in ws:
-            raise ValueError("root must be a world")
-        for rel in (self.ra, self.rb):
-            for s, t in rel:
-                if s not in ws or t not in ws:
-                    raise ValueError("relation edge outside the world set")
-        if len(ws) != len(self.worlds):
-            raise ValueError("duplicate worlds")
-        for name, holds in self.valuation.items():
-            if not holds <= ws:
-                raise ValueError(f"valuation of {name!r} outside the world set")
+    __slots__ = ("worlds", "root", "position", "succ_a", "succ_b", "val_masks")
+
+    def __init__(
+        self,
+        worlds: Iterable[int],
+        ra: Iterable[tuple[int, int]],
+        rb: Iterable[tuple[int, int]],
+        valuation: Mapping[str, Iterable[int]],
+        root: int,
+    ):
+        """Convert the edges and world sets to masks, checking each once."""
+        worlds = tuple(sorted(worlds))
+        position = _positions(worlds, root)
+        succ_a = _successors(position, ra)
+        succ_b = _successors(position, rb)
+        val_masks = {}
+        for name, holds in valuation.items():
+            mask = 0
+            for w in holds:
+                if w not in position:
+                    raise ValueError(f"valuation of {name!r} outside the world set")
+                mask |= 1 << position[w]
+            val_masks[name] = mask
+        self._store(worlds, position, succ_a, succ_b, val_masks, root)
+
+    @classmethod
+    def from_masks(
+        cls,
+        worlds: Iterable[int],
+        succ_a: Iterable[int],
+        succ_b: Iterable[int],
+        val_masks: Mapping[str, int],
+        root: int,
+    ) -> KripkeModel:
+        """A model from one successor mask per world and relation and one mask per atom.
+
+        The worlds must be in ascending order, and bit i of every mask
+        stands for `worlds[i]`; a mask with a bit past the world count
+        raises ValueError.
+        """
+        worlds = tuple(worlds)
+        if list(worlds) != sorted(worlds):
+            raise ValueError("worlds must be in ascending order")
+        position = _positions(worlds, root)
+        succ_a, succ_b, n = tuple(succ_a), tuple(succ_b), len(worlds)
+        if len(succ_a) != n or len(succ_b) != n:
+            raise ValueError("a model needs one successor mask per world")
+        if any(m >> n for m in (*succ_a, *succ_b, *val_masks.values())):
+            raise ValueError("mask bit past the world count")
+        model = object.__new__(cls)
+        model._store(worlds, position, succ_a, succ_b, dict(val_masks), root)
+        return model
+
+    def _store(self, worlds, position, succ_a, succ_b, val_masks, root) -> None:
+        store = object.__setattr__
+        store(self, "worlds", worlds)
+        store(self, "position", MappingProxyType(position))
+        store(self, "succ_a", succ_a)
+        store(self, "succ_b", succ_b)
+        store(self, "val_masks", MappingProxyType(val_masks))
+        store(self, "root", root)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("KripkeModel is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def ra(self) -> _Edges:
+        return _Edges(self, self.succ_a)
+
+    @property
+    def rb(self) -> _Edges:
+        return _Edges(self, self.succ_b)
+
+    @property
+    def valuation(self) -> dict[str, frozenset[int]]:
+        return {
+            name: frozenset(_members(mask, self.worlds)) for name, mask in self.val_masks.items()
+        }
+
+    def __eq__(self, other):
+        if not isinstance(other, KripkeModel):
+            return NotImplemented
+        return (self.worlds, self.root, self.succ_a, self.succ_b, self.val_masks) == (
+            other.worlds, other.root, other.succ_a, other.succ_b, other.val_masks
+        )
+
+    def __reduce__(self):
+        return KripkeModel.from_masks, (
+            self.worlds, self.succ_a, self.succ_b, dict(self.val_masks), self.root
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"KripkeModel(worlds={list(self.worlds)}, ra={list(self.ra)}, "
+            f"rb={list(self.rb)}, valuation={self.valuation}, root={self.root})"
+        )
+
+
+def _positions(worlds: tuple[int, ...], root: int) -> dict[int, int]:
+    """Each world's bit position, after checking the world set and the root."""
+    if not worlds:
+        raise ValueError("a model needs at least one world")
+    position = {w: i for i, w in enumerate(worlds)}
+    if root not in position:
+        raise ValueError("root must be a world")
+    if len(position) != len(worlds):
+        raise ValueError("duplicate worlds")
+    return position
+
+
+def _successors(position: dict[int, int], rel: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    succ = [0] * len(position)
+    try:
+        for s, t in rel:
+            succ[position[s]] |= 1 << position[t]
+    except KeyError:
+        raise ValueError("relation edge outside the world set") from None
+    return tuple(succ)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -86,6 +199,49 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# Reads a binary numeral, least significant digit first, as 0/1 selectors.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(mask: int, items: Sequence) -> Iterator:
+    """The items at the set bits of mask, in position order."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_SELECTORS))
+
+
+class _Edges(AbstractSet):
+    """A relation as a read-only set of (s, t) world-id pairs over successor masks."""
+
+    __slots__ = ("_model", "_succ")
+
+    def __init__(self, model: KripkeModel, succ: tuple[int, ...]):
+        self._model = model
+        self._succ = succ
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return sum(m.bit_count() for m in self._succ)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        worlds = self._model.worlds
+        for s, mask in zip(worlds, self._succ):
+            for t in _members(mask, worlds):
+                yield s, t
+
+    def __contains__(self, edge) -> bool:
+        position = self._model.position
+        try:
+            s, t = edge
+            return bool(self._succ[position[s]] >> position[t] & 1)
+        except (KeyError, TypeError, ValueError):
+            return False
+
+    def __repr__(self) -> str:
+        return repr(set(self))
 
 
 def _weakly_dense(succ_a: Sequence[int], succ_b: Sequence[int]) -> bool:
@@ -109,31 +265,21 @@ def _weakly_dense(succ_a: Sequence[int], succ_b: Sequence[int]) -> bool:
 
 
 class ModelTables:
-    """One model's worlds as bit positions and its relations as successor bitsets.
+    """One model's truth sets, over the model's own successor bitsets.
 
     Bit i of an int stands for `model.worlds[i]`, so an int is a set of
-    worlds.  The tables are built once per checked model; every truth set
-    and frame test on that model reads them, and `truth` evaluates each
-    distinct subformula once over all worlds at a time.
+    worlds.  Every truth set and frame test on a checked model reads one
+    set of tables, and `truth` evaluates each distinct subformula once over
+    all worlds at a time.
     """
 
     def __init__(self, model: KripkeModel):
         self.model = model
-        self.position = {w: i for i, w in enumerate(model.worlds)}
         self.full = (1 << len(model.worlds)) - 1
-        self.succ_a = self._successors(model.ra)
-        self.succ_b = self._successors(model.rb)
         self._memo: dict[Formula, int] = {}
 
-    def _successors(self, rel: set[tuple[int, int]]) -> list[int]:
-        pos = self.position
-        succ = [0] * len(pos)
-        for s, t in rel:
-            succ[pos[s]] |= 1 << pos[t]
-        return succ
-
     def worlds_in(self, mask: int) -> frozenset[int]:
-        return frozenset(w for i, w in enumerate(self.model.worlds) if (mask >> i) & 1)
+        return frozenset(_members(mask, self.model.worlds))
 
     def truth(self, f: Formula) -> int:
         """The worlds satisfying f; a box holds where no successor falls outside its body."""
@@ -141,9 +287,7 @@ class ModelTables:
         if got is not None:
             return got
         if isinstance(f, Atom):
-            out = 0
-            for w in self.model.valuation.get(f.name, ()):
-                out |= 1 << self.position[w]
+            out = self.model.val_masks.get(f.name, 0)
         elif isinstance(f, Falsum):
             out = 0
         elif isinstance(f, Not):
@@ -151,7 +295,7 @@ class ModelTables:
         elif isinstance(f, And):
             out = self.truth(f.left) & self.truth(f.right)
         else:
-            succ = self.succ_a if f.modality == MOD_A else self.succ_b
+            succ = self.model.succ_a if f.modality == MOD_A else self.model.succ_b
             outside = self.full & ~self.truth(f.child)
             out = 0
             for i, s in enumerate(succ):
@@ -162,10 +306,11 @@ class ModelTables:
 
     def in_class(self, frame_class: str) -> bool:
         """Frame membership; density is weak density with rb read as ra."""
+        succ_a = self.model.succ_a
         if frame_class == DENSE:
-            return _weakly_dense(self.succ_a, self.succ_a)
+            return _weakly_dense(succ_a, succ_a)
         if frame_class == WEAKLY_DENSE:
-            return _weakly_dense(self.succ_a, self.succ_b)
+            return _weakly_dense(succ_a, self.model.succ_b)
         return True
 
 
@@ -176,7 +321,7 @@ def verify(model: KripkeModel, formulas: Iterable[Formula], frame_class: str, la
     "<label> fails model_check on <f>" or "<label> frame is not <class>".
     """
     tables = ModelTables(model)
-    root = 1 << tables.position[model.root]
+    root = 1 << model.position[model.root]
     for f in formulas:
         if not tables.truth(f) & root:
             raise InvariantError(f"{label} fails model_check on {f}")
@@ -186,10 +331,9 @@ def verify(model: KripkeModel, formulas: Iterable[Formula], frame_class: str, la
 
 def model_check(model: KripkeModel, world: int, phi: Formula) -> bool:
     """Standard satisfaction at a world: membership in phi's truth set."""
-    if world not in model.worlds:
+    if world not in model.position:
         raise ValueError(f"unknown world {world!r}")
-    tables = ModelTables(model)
-    return bool((tables.truth(phi) >> tables.position[world]) & 1)
+    return bool((ModelTables(model).truth(phi) >> model.position[world]) & 1)
 
 
 def truth_set(model: KripkeModel, phi: Formula) -> frozenset[int]:
@@ -345,15 +489,7 @@ def bounded_search(
                 if not sat:
                     continue
                 root = (sat & -sat).bit_length() - 1
-                model = KripkeModel(
-                    worlds=list(range(n)),
-                    ra={(s, t) for s in range(n) for t in _bits(succ_a[s])},
-                    rb={(s, t) for s in range(n) for t in _bits(succ_b[s])},
-                    valuation={
-                        name: set(_bits(val_masks[name])) for name in names
-                    },
-                    root=root,
-                )
+                model = KripkeModel.from_masks(range(n), succ_a, succ_b, val_masks, root)
                 # Double-entry: the bitmask search's model must pass the oracle's
                 # own checks.  _eval_mask stays a separate evaluator from
                 # ModelTables.truth for this check alone: if one were written in
@@ -402,27 +538,29 @@ def _k_sat(branch: frozenset[Formula]) -> bool:
 
 # --------------------------------------------------------------------------
 # JSON wire format: {"worlds": [...], "ra": [[s,t], ...], "rb": [...],
-# "val": {"p": [...]}, "root": 0}.  Unimodal models omit "rb".
+# "val": {"p": [...]}, "root": 0}.  Unimodal models omit "rb".  Worlds are
+# held in ascending order, so reading the masks bit by bit lists worlds and
+# edges in world-id order.
 
 
 def model_to_json(model: KripkeModel, include_rb: bool = True) -> dict:
     data = {
-        "worlds": sorted(model.worlds),
-        "ra": sorted([s, t] for (s, t) in model.ra),
+        "worlds": list(model.worlds),
+        "ra": [[s, t] for s, t in model.ra],
         "val": {name: sorted(ws) for name, ws in sorted(model.valuation.items())},
         "root": model.root,
     }
     if include_rb:
-        data["rb"] = sorted([s, t] for (s, t) in model.rb)
+        data["rb"] = [[s, t] for s, t in model.rb]
     return data
 
 
 def model_from_json(data: dict) -> KripkeModel:
     return KripkeModel(
-        worlds=list(data["worlds"]),
-        ra={(s, t) for s, t in data["ra"]},
-        rb={(s, t) for s, t in data.get("rb", [])},
-        valuation={name: set(ws) for name, ws in data.get("val", {}).items()},
+        worlds=data["worlds"],
+        ra=data["ra"],
+        rb=data.get("rb", []),
+        valuation=data.get("val", {}),
         root=data["root"],
     )
 
@@ -430,21 +568,28 @@ def model_from_json(data: dict) -> KripkeModel:
 def model_json_text(model: KripkeModel, include_rb: bool = True) -> str:
     """json.dumps(model_to_json(model, include_rb), sort_keys=True), written directly.
 
-    Worlds are ints, so the text is formatted without building a list per
-    edge first; only atom names go through json.dumps.
+    Worlds are ints, so the text is formatted straight from the masks: each
+    world id is written once, and each successor mask becomes one run of
+    edges; only atom names go through json.dumps.
     """
+    names = [str(w) for w in model.worlds]
 
-    def ints(ws) -> str:
-        return "[" + ", ".join(map(str, sorted(ws))) + "]"
+    def ints(mask) -> str:
+        return "[" + ", ".join(_members(mask, names)) + "]"
 
-    def pairs(rel) -> str:
-        return "[" + ", ".join(f"[{s}, {t}]" for s, t in sorted(rel)) + "]"
+    def pairs(succ) -> str:
+        rows = (
+            f"[{s}, " + f"], [{s}, ".join(_members(mask, names)) + "]"
+            for s, mask in zip(names, succ)
+            if mask
+        )
+        return "[" + ", ".join(rows) + "]"
 
     val = ", ".join(
-        f"{json.dumps(name)}: {ints(ws)}" for name, ws in sorted(model.valuation.items())
+        f"{json.dumps(name)}: {ints(mask)}" for name, mask in sorted(model.val_masks.items())
     )
-    rb = f'"rb": {pairs(model.rb)}, ' if include_rb else ""
+    rb = f'"rb": {pairs(model.succ_b)}, ' if include_rb else ""
     return (
-        f'{{"ra": {pairs(model.ra)}, {rb}"root": {model.root}, '
-        f'"val": {{{val}}}, "worlds": {ints(model.worlds)}}}'
+        f'{{"ra": {pairs(model.succ_a)}, {rb}"root": {model.root}, '
+        f'"val": {{{val}}}, "worlds": [{", ".join(names)}]}}'
     )

@@ -1,6 +1,6 @@
 """Test-only references: the oracle's former density tests, set-based
-truth sets and frame enumeration, and the former saturation rules, search
-and membership test.
+truth sets, frame enumeration and edge-set models, and the former
+saturation rules, search and membership test.
 
 Density used to be written once per frame class, both over model edge
 sets and over successor bitmasks, and `_frame_masks` had one loop per
@@ -12,7 +12,11 @@ compare them against the functions below.  The oracle's truth sets and
 density test used to run on Python sets of worlds, with successor dicts
 rebuilt per call; they now run on successor bitsets built once per model,
 and `_successors`, `truth_set` and `_weakly_dense` below are the set form
-they replaced.  The saturation search used to re-sort a state's members
+they replaced.  Models used to hold each relation as a set of edge
+tuples, which `frame_model` built from the profile frame and
+`model_to_json` sorted; they now hold one successor mask per world, and
+`EdgeModel`, `frame_model` and `model_to_json` below are the edge-set
+form.  The saturation search used to re-sort a state's members
 and build fresh `Not` partners on every visit; it now reads a table built
 once per seed.  `_pending`, `_conflicts` and `_branches` below are the
 per-visit form it replaced.  The saturation module also used to test
@@ -27,6 +31,7 @@ below is the form it replaced.
 """
 
 import re
+from dataclasses import dataclass
 from functools import lru_cache
 
 from densemodal import (
@@ -216,6 +221,47 @@ def frame_masks(n, frame_class, bimodal):
         else:
             for ra in range(total):
                 yield ra, 0
+
+
+@dataclass
+class EdgeModel:
+    """The former KripkeModel's fields: each relation a set of (s, t) world-id pairs."""
+
+    worlds: list
+    ra: set
+    rb: set
+    valuation: dict
+    root: int
+
+
+def frame_model(frame, ix, root):
+    """Read a profile frame as a model: worlds are the profiles in lexicographic order."""
+    order = sorted(frame.profiles)
+    ids = {p: i for i, p in enumerate(order)}
+    valuation = {}
+    for i, f in enumerate(ix.entries):
+        if isinstance(f, Atom):
+            valuation[f.name] = {ids[p] for p in order if p[i] == 1}
+    return EdgeModel(
+        worlds=list(range(len(order))),
+        ra={(ids[x], ids[y]) for (x, y) in frame.rel},
+        rb=set(),
+        valuation=valuation,
+        root=ids[root],
+    )
+
+
+def model_to_json(model, include_rb=True):
+    """The JSON form, from sorted edge tuples."""
+    data = {
+        "worlds": sorted(model.worlds),
+        "ra": sorted([s, t] for (s, t) in model.ra),
+        "val": {name: sorted(ws) for name, ws in sorted(model.valuation.items())},
+        "root": model.root,
+    }
+    if include_rb:
+        data["rb"] = sorted([s, t] for (s, t) in model.rb)
+    return data
 
 
 def is_saturation_of(candidate, seed):

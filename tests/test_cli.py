@@ -11,19 +11,23 @@ import pytest
 import densemodal
 import densemodal.kde as kde_module
 from densemodal import (
+    KdeResult,
     UNIMODAL,
     build_index,
     fixpoint,
     frame_model,
+    initial_frame,
     is_dense,
     is_weakly_dense,
     model_check,
     model_from_json,
     model_json_text,
+    kde_solve,
     parse,
     render,
+    truth_set,
 )
-from densemodal.cli import main
+from densemodal.cli import _fixpoint_failures, main
 from densemodal.formula import MAX_DEPTH
 from densemodal.oracle import ModelTables
 from conftest import NESTINGS, random_formula
@@ -193,6 +197,26 @@ class TestCorpus:
         )
         assert code == 0
         assert out.splitlines()[-1] == "CORPUS PASS"
+
+    def test_fixpoint_check_names_the_entries_a_frame_misses(self):
+        # The initial frame keeps profiles whose false boxes have no
+        # falsifying successor; each such entry is named, in index order.
+        for text in ("<>p & [](p -> <>~p)", "<>(p & []false)"):
+            phi = parse(text)
+            ix = build_index(phi)
+            assert _fixpoint_failures(kde_solve(phi), phi) == []
+            frame = initial_frame(ix)
+            order = sorted(frame.profiles)
+            model = frame_model(frame, ix, order[0])
+            expected = [
+                f"profile bit mismatch: {phi} at entry {i}"
+                for i, entry in enumerate(ix.entries)
+                if truth_set(model, entry) != {w for w, p in enumerate(order) if p[i]}
+            ]
+            assert expected
+            if not is_dense(model):
+                expected.insert(0, f"fixpoint frame not dense: {phi}")
+            assert _fixpoint_failures(KdeResult(ix, frame, 0), phi) == expected
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from densemodal import (
     FREE_BIT_LIMIT,
     MOD_A,
     Not,
+    ProfileFrame,
     SAT,
     UNSAT,
     all_formulas,
@@ -21,6 +23,8 @@ from densemodal import (
     kde_solve,
     kde_valid,
     model_check,
+    model_json_text,
+    model_to_json,
     parse,
     refine_frame,
     truth_set,
@@ -29,6 +33,7 @@ import densemodal.kde as kde_module
 from densemodal.kde import counter_model, frame_model
 from conftest import random_formula
 import kde_reference as reference
+import rule_reference
 
 P = Atom("p")
 
@@ -292,6 +297,36 @@ class TestReferenceAgreement:
             assert frame.profiles == ref_frame.profiles, phi
             assert frame.rel == ref_frame.rel, phi
             assert iterations == ref_iterations, phi
+
+    def test_frame_model_matches_the_edge_set_reference(self):
+        # Each witness, or the model at the least profile when there is none,
+        # against the former edge-set frame_model and JSON form.
+        for phi in differential_corpus():
+            result = kde_solve(phi)
+            frame, ix = result.frame, result.index
+            order = sorted(frame.profiles)
+            root = next((p for p in order if p[-1] == 1), order[0])
+            model = result.witness() or frame_model(frame, ix, root)
+            want = rule_reference.frame_model(frame, ix, root)
+            assert list(model.worlds) == want.worlds, phi
+            assert (model.ra, set(model.ra), len(model.ra)) == (want.ra, want.ra, len(want.ra)), phi
+            assert all(edge in model.ra for edge in want.ra), phi
+            assert (model.rb, model.valuation, model.root) == (set(), want.valuation, want.root), phi
+            text = model_json_text(model, include_rb=False)
+            assert text == json.dumps(model_to_json(model, include_rb=False), sort_keys=True), phi
+            assert text == json.dumps(rule_reference.model_to_json(want, include_rb=False), sort_keys=True), phi
+
+    def test_frame_model_reads_edges_between_copied_profiles(self):
+        # frame_model looks edge ends up by identity first; a frame whose edges
+        # hold equal copies of its profiles must give the same model.
+        rng = random.Random(2027)
+        for _ in range(40):
+            phi = random_formula(rng, 12, ["p", "q"])
+            frame, _ = fixpoint(phi)
+            ix = build_index(phi)
+            copied = ProfileFrame(frame.profiles, frozenset((tuple([*x]), tuple([*y])) for x, y in frame.rel))
+            root = max(frame.profiles)
+            assert frame_model(copied, ix, root) == frame_model(frame, ix, root), phi
 
     def test_refinement_keeps_the_input_edge_tuples(self):
         # 7 free bits; one refinement round removes profiles and edges.

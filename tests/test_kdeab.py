@@ -58,7 +58,7 @@ class TestSatSet:
     def test_atom_sat(self):
         result = sat_set({bi("p")})
         assert result.verdict == SAT
-        assert result.witness.worlds == [0]
+        assert result.witness.worlds == (0,)
         assert model_check(result.witness, 0, P)
 
     def test_a_diamond_witness_shape(self):
@@ -274,7 +274,7 @@ class TestExtractModel:
 
     def test_single_world_for_pure_literals(self):
         result = sat_set({bi("p & ~q")})
-        assert result.witness.worlds == [0]
+        assert result.witness.worlds == (0,)
         assert result.witness.valuation == {"p": {0}}
 
 

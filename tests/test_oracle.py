@@ -1,6 +1,8 @@
 import ast
+import copy
 import json
 import os
+import pickle
 import random
 import time
 
@@ -128,8 +130,8 @@ class TestModelCheck:
         assert elapsed < 0.1, f"took {elapsed:.3f}s"
 
 
-def scattered_models(rng, count):
-    """Random models whose world ids are unsorted and non-contiguous.
+def scattered_fields(rng, count):
+    """Random model fields whose world ids are unsorted and non-contiguous.
 
     Edge rates run from sparse (many worlds without successors) to dense,
     and rb is drawn apart from ra.
@@ -141,7 +143,11 @@ def scattered_models(rng, count):
         ra = {(s, t) for s in worlds for t in worlds if rng.random() < rate_a}
         rb = {(s, t) for s in worlds for t in worlds if rng.random() < rate_b}
         val = {name: {w for w in worlds if rng.random() < 0.5} for name in ("p", "q")}
-        yield KripkeModel(worlds, ra, rb, val, root=rng.choice(worlds))
+        yield worlds, ra, rb, val, rng.choice(worlds)
+
+
+def scattered_models(rng, count):
+    return (KripkeModel(*fields) for fields in scattered_fields(rng, count))
 
 
 class TestBitsetTables:
@@ -170,8 +176,70 @@ class TestBitsetTables:
             verify(m, [parse("<a><a>p", "bimodal")], "dense", "w")
         with pytest.raises(InvariantError, match="^w frame is not weakly dense$"):
             verify(m, [], "weakly_dense", "w")
-        m.rb = {(12, 12), (3, 3)}
+        m = KripkeModel([7, 3, 12], {(7, 12), (12, 3)}, {(12, 12), (3, 3)}, {"p": {3}}, 7)
         verify(m, [], "weakly_dense", "w")
+
+
+class TestModelForms:
+    """Successor masks against the edge sets a model is built from."""
+
+    def test_views_and_text_match_the_edge_sets(self):
+        cases = [([7, 3, 12], {(7, 12), (12, 3)}, {(3, 7), (12, 12)}, {"p": {3}, "q": set()}, 12)]
+        cases.extend(scattered_fields(random.Random(79), 80))
+        for worlds, ra, rb, val, root in cases:
+            m = KripkeModel(worlds, ra, rb, val, root)
+            assert (list(m.worlds), m.ra, m.rb, m.valuation, m.root) == (sorted(worlds), ra, rb, val, root)
+            assert (set(m.ra), set(m.rb), len(m.ra), len(m.rb)) == (ra, rb, len(ra), len(rb))
+            for edge in [(s, t) for s in worlds for t in worlds] + [(1, 2), "st", None]:
+                assert ((edge in m.ra), (edge in m.rb)) == ((edge in ra), (edge in rb))
+            want = reference.EdgeModel(worlds, ra, rb, val, root)
+            for include_rb in (True, False):
+                text = model_json_text(m, include_rb)
+                assert text == json.dumps(model_to_json(m, include_rb), sort_keys=True)
+                assert text == json.dumps(reference.model_to_json(want, include_rb), sort_keys=True)
+            again = KripkeModel.from_masks(m.worlds, m.succ_a, m.succ_b, m.val_masks, m.root)
+            assert again == m
+            assert model_to_json(again) == model_to_json(m)
+
+    def test_from_masks_rejects_stray_bits_and_unsorted_worlds(self):
+        m = KripkeModel.from_masks([5, 9], [0b10, 0], [0, 0b11], {"p": 0b01}, 9)
+        assert (set(m.ra), set(m.rb), m.valuation) == ({(5, 9)}, {(9, 5), (9, 9)}, {"p": {5}})
+        for succ_a, succ_b, val in (
+            ([0b100, 0], [0, 0], {}),
+            ([0, 0], [0, 0b101], {}),
+            ([0, 0], [0, 0], {"p": 0b110}),
+            ([-1, 0], [0, 0], {}),
+        ):
+            with pytest.raises(ValueError, match="^mask bit past the world count$"):
+                KripkeModel.from_masks([5, 9], succ_a, succ_b, val, 9)
+        with pytest.raises(ValueError, match="^a model needs one successor mask per world$"):
+            KripkeModel.from_masks([5, 9], [0], [0, 0], {}, 9)
+        with pytest.raises(ValueError, match="^root must be a world$"):
+            KripkeModel.from_masks([5, 9], [0, 0], [0, 0], {}, 0)
+        with pytest.raises(ValueError, match="^worlds must be in ascending order$"):
+            KripkeModel.from_masks([9, 5], [0, 0], [0, 0], {}, 9)
+        with pytest.raises(ValueError, match="^duplicate worlds$"):
+            KripkeModel.from_masks([5, 5], [0, 0], [0, 0], {}, 5)
+
+    def test_models_are_immutable(self):
+        m = KripkeModel([0, 1], {(0, 1)}, {(1, 0)}, {"p": {1}}, 0)
+        for name in ("worlds", "ra", "rb", "valuation", "root", "succ_a", "val_masks", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        with pytest.raises(AttributeError):
+            m.ra.add((1, 1))
+        with pytest.raises(AttributeError):
+            m.valuation["p"].add(0)
+        with pytest.raises(TypeError):
+            m.val_masks["p"] = 0b11
+        with pytest.raises(TypeError):
+            m.position[2] = 0
+        m.valuation["q"] = {0}
+        assert m.valuation == {"p": {1}}
+        assert pickle.loads(pickle.dumps(m)) == m
+        assert copy.deepcopy(m) == m != KripkeModel([0, 1], {(0, 1)}, {(1, 0)}, {"p": {0}}, 0)
 
 
 def test_oracle_imports_no_solver_module():

@@ -14,9 +14,12 @@ from densemodal import (
     csf,
     initial_windows,
     is_window,
+    parse,
+    sat_set,
     set_degree,
     window_to_json,
 )
+from densemodal import windows as windows_module
 from densemodal.saturation import is_saturation_of, saturations
 from conftest import random_formula
 
@@ -155,3 +158,26 @@ class TestJsonDump:
             "anchor": ["~[a]p", "[a]q"],
             "parts": [["q", "~p"], ["q"]],
         }
+
+
+class TestShiftedSeedTest:
+    """`continuations` keeps only candidates that are saturations of the shifted seed."""
+
+    # A chain seed of this solve derives q and ~~q from ~(~q & p); its
+    # shifted seed cannot, because the ~p in it blocks that disjunction.
+    FORMULAS = ("[a](([b]~p & ~(~q & p)) & ~([b]~p & [b]q))", "~[a][b]p", "[b](p & q)")
+
+    def test_every_continuation_is_a_window(self, monkeypatch):
+        real = windows_module.continuations
+        yielded = []
+
+        def recording(window):
+            for cont in real(window):
+                yielded.append(cont)
+                yield cont
+
+        monkeypatch.setattr(windows_module, "continuations", recording)
+        result = sat_set({parse(text, "bimodal") for text in self.FORMULAS})
+        assert yielded
+        assert all(is_window(cont.parts, cont.anchor) for cont in yielded)
+        assert result.stats == {"max_depth": 2, "saturations": 4, "windows": 6}
