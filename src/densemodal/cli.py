@@ -10,7 +10,7 @@ or --oracle-worlds, and a translate --fresh guard that is not an atom name
 are usage errors (64).  solve --logic kde is exponential in the free bits
 (atom and box subformulas) and refuses more than kde.FREE_BIT_LIMIT (12)
 with exit 64: with --stats --model, 8, 10 and 12 free bits measured 0.2 s,
-1.6-1.8 s and 37 s of wall time with 25 MB, 120 MB and 1.1 GB peak memory
+1.7-1.9 s and 37 s of wall time with 25 MB, 120 MB and 1.1 GB peak memory
 on a 2-vCPU host, and each further bit quadruples the work.
 
 Both logics take one solve path: valid mode asks the solver for the

@@ -212,17 +212,8 @@ def frame_model(frame: ProfileFrame, ix: SubformulaIndex, root: Profile) -> Krip
     order = sorted(frame.profiles)
     ids = {p: i for i, p in enumerate(order)}
     succ = [0] * len(order)
-    # initial_frame pairs the profile objects themselves and refinement keeps
-    # its input's edge tuples, so edge ends are looked up by identity, which
-    # spares hashing a whole profile per end.  A frame whose edges hold
-    # copies of its profiles misses, and is read again by value.
-    by_id = {id(p): i for p, i in ids.items()}
-    try:
-        for x, y in frame.rel:
-            succ[by_id[id(x)]] |= 1 << by_id[id(y)]
-    except KeyError:
-        for x, y in frame.rel:
-            succ[ids[x]] |= 1 << ids[y]
+    for x, y in frame.rel:
+        succ[ids[x]] |= 1 << ids[y]
     valuation = {
         f.name: sum(1 << w for w, p in enumerate(order) if p[i])
         for i, f in enumerate(ix.entries)

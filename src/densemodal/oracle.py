@@ -69,7 +69,8 @@ class KripkeModel:
     one int.  The public constructor takes edge sets and world-id sets;
     `from_masks` takes the masks themselves.  Models are immutable: `ra`
     and `rb` are read-only views of the masks as sets of (s, t) world-id
-    pairs, and `valuation` gives each atom's worlds as a frozenset.
+    pairs, and `valuation` is a read-only map from each atom to its worlds
+    as a frozenset.
     """
 
     __slots__ = ("worlds", "root", "position", "succ_a", "succ_b", "val_masks")
@@ -148,10 +149,10 @@ class KripkeModel:
         return _Edges(self, self.succ_b)
 
     @property
-    def valuation(self) -> dict[str, frozenset[int]]:
-        return {
+    def valuation(self) -> Mapping[str, frozenset[int]]:
+        return MappingProxyType({
             name: frozenset(_members(mask, self.worlds)) for name, mask in self.val_masks.items()
-        }
+        })
 
     def __eq__(self, other):
         if not isinstance(other, KripkeModel):
@@ -168,7 +169,7 @@ class KripkeModel:
     def __repr__(self) -> str:
         return (
             f"KripkeModel(worlds={list(self.worlds)}, ra={list(self.ra)}, "
-            f"rb={list(self.rb)}, valuation={self.valuation}, root={self.root})"
+            f"rb={list(self.rb)}, valuation={dict(self.valuation)}, root={self.root})"
         )
 
 
@@ -192,13 +193,6 @@ def _successors(position: dict[int, int], rel: Iterable[tuple[int, int]]) -> tup
     except KeyError:
         raise ValueError("relation edge outside the world set") from None
     return tuple(succ)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # Reads a binary numeral, least significant digit first, as 0/1 selectors.
@@ -256,8 +250,8 @@ def _weakly_dense(succ_a: Sequence[int], succ_b: Sequence[int]) -> bool:
         reach = reach_of.get(succ)
         if reach is None:
             reach = 0
-            for u in _bits(succ):
-                reach |= succ_b[u]
+            for r in _members(succ, succ_b):
+                reach |= r
             reach_of[succ] = reach
         if succ & ~reach:
             return False

@@ -52,7 +52,15 @@ from densemodal import (
     sort_key,
 )
 from densemodal.formula import MAX_DEPTH
-from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _bits, _succ_masks
+from densemodal.oracle import ALL, DENSE, WEAKLY_DENSE, _succ_masks
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def csf(formulas):

@@ -317,8 +317,8 @@ class TestReferenceAgreement:
             assert text == json.dumps(rule_reference.model_to_json(want, include_rb=False), sort_keys=True), phi
 
     def test_frame_model_reads_edges_between_copied_profiles(self):
-        # frame_model looks edge ends up by identity first; a frame whose edges
-        # hold equal copies of its profiles must give the same model.
+        # frame_model looks edge ends up by value, so a frame whose edges hold
+        # equal copies of its profiles must give the same model.
         rng = random.Random(2027)
         for _ in range(40):
             phi = random_formula(rng, 12, ["p", "q"])

@@ -236,7 +236,8 @@ class TestModelForms:
             m.val_masks["p"] = 0b11
         with pytest.raises(TypeError):
             m.position[2] = 0
-        m.valuation["q"] = {0}
+        with pytest.raises(TypeError):
+            m.valuation["q"] = {0}
         assert m.valuation == {"p": {1}}
         assert pickle.loads(pickle.dumps(m)) == m
         assert copy.deepcopy(m) == m != KripkeModel([0, 1], {(0, 1)}, {(1, 0)}, {"p": {0}}, 0)
