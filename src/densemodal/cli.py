@@ -18,7 +18,9 @@ satisfiability of the negation, so INVALID carries the negation's witness
 as its countermodel.  The solver model-checks and frame-checks every
 witness before it returns, with or without --model, so a witness that
 fails exits 70 before anything is printed.  The --stats line comes from
-the same solve as the verdict and the model.
+the same solve as the verdict and the model.  Every model is written by
+oracle.model_json_text; a kde solve reads its fixpoint frame as one model,
+which serves the witness and the corpus runner's frame checks alike.
 """
 
 from __future__ import annotations
@@ -43,16 +45,9 @@ from .formula import (
     parse,
     render,
 )
-from .kde import KdeResult, frame_model, kde_sat, kde_solve
+from .kde import kde_sat, kde_solve
 from .kdeab import BoundPolicy, SAT, sat_set
-from .oracle import (
-    DENSE,
-    KripkeModel,
-    ModelTables,
-    bounded_search,
-    model_json_text,
-    search_is_bimodal,
-)
+from .oracle import KripkeModel, bounded_search, model_json_text, search_is_bimodal
 # cli does not call these; densebench/layers.py wraps them as cli call sites.
 from .kde import build_index, counter_model, fixpoint  # noqa: F401
 from .oracle import is_dense, model_check  # noqa: F401
@@ -194,32 +189,16 @@ def _corpus_names(count: int) -> tuple[str, ...]:
     return _CORPUS_ATOMS[:count]
 
 
-def _fixpoint_failures(result: KdeResult, phi: Formula) -> list[str]:
-    """kde's checks of the whole fixpoint frame, beyond the witness.
-
-    The frame is dense, and every profile satisfies exactly its own bits:
-    each entry's truth mask equals the mask of the profiles that set its
-    bit (world w is the w-th profile).  All entries are evaluated on one set
-    of model tables with one memo.
-    """
-    frame, ix = result.frame, result.index
-    order = sorted(frame.profiles)
-    tables = ModelTables(frame_model(frame, ix, order[0]))
-    failures = [] if tables.in_class(DENSE) else [f"fixpoint frame not dense: {phi}"]
-    for i, entry in enumerate(ix.entries):
-        if tables.truth(entry) != sum(1 << w for w, p in enumerate(order) if p[i]):
-            failures.append(f"profile bit mismatch: {phi} at entry {i}")
-    return failures
-
-
 def run_corpus(logic: str, max_size: int, atoms: int, oracle_worlds: int) -> tuple[list[str], bool]:
     """Cross-validate one logic's solver against the oracle.
 
     For every formula up to the size bound, of one modality for kde and of
     two for kdeab: the solver answers without an InvariantError (every SAT
     witness is checked inside the solver, so a bad one counts here), kde's
-    fixpoint frame passes _fixpoint_failures, and the oracle never finds a
-    model in the logic's frame class for a formula the solver rejects.
+    fixpoint frame passes KdeResult.frame_failures, and the oracle never
+    finds a model in the logic's frame class for a formula the solver
+    rejects.  A kde formula's frame checks and its witness read one model,
+    built once.
     """
     names = _corpus_names(atoms)
     kde = logic == "kde"
@@ -232,7 +211,7 @@ def run_corpus(logic: str, max_size: int, atoms: int, oracle_worlds: int) -> tup
         try:
             if kde:
                 result = kde_solve(phi)
-                failures.extend(_fixpoint_failures(result, phi))
+                failures.extend(result.frame_failures())
                 witness = result.witness()
             else:
                 witness = sat_set({phi}).witness

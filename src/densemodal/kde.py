@@ -21,17 +21,20 @@ Validity is satisfiability of the negation.  The index of ~phi is phi's
 index plus ~phi itself, which adds no free bit, so its profiles are phi's
 with a complement bit appended: the frames, counts and the lexicographic
 order agree, and the least profile setting ~phi is the least profile
-clearing phi.  Every SAT answer carries the fixpoint model pointed at the
-least profile setting the target bit, model-checked at the root and
-frame-checked for density before it is returned; a witness that fails
-raises InvariantError.
+clearing phi.  A `KdeResult` reads its fixpoint frame as one model, once:
+world w is the w-th profile in lexicographic order, and the root is the
+least profile setting the target bit, else the least profile.  The witness
+is that model when its root sets the bit, model-checked and frame-checked
+for density first (a failure raises InvariantError); the whole-frame
+checks read the same model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import InvariantError
 from .formula import (
@@ -44,7 +47,7 @@ from .formula import (
     is_unimodal,
 )
 from .kdeab import SAT, UNSAT, SatResult
-from .oracle import DENSE, KripkeModel, verify
+from .oracle import DENSE, KripkeModel, ModelTables, verify
 
 Profile = tuple[int, ...]
 
@@ -203,6 +206,11 @@ def fixpoint(phi: Formula, ix: Optional[SubformulaIndex] = None) -> tuple[Profil
     return frame, iterations
 
 
+def _bit_mask(order: Sequence[Profile], i: int) -> int:
+    """The worlds whose profile sets bit i, world w being order[w]."""
+    return sum(1 << w for w, p in enumerate(order) if p[i])
+
+
 def frame_model(frame: ProfileFrame, ix: SubformulaIndex, root: Profile) -> KripkeModel:
     """Read a profile frame as a pointed Kripke model.
 
@@ -215,9 +223,7 @@ def frame_model(frame: ProfileFrame, ix: SubformulaIndex, root: Profile) -> Krip
     for x, y in frame.rel:
         succ[ids[x]] |= 1 << ids[y]
     valuation = {
-        f.name: sum(1 << w for w, p in enumerate(order) if p[i])
-        for i, f in enumerate(ix.entries)
-        if isinstance(f, Atom)
+        f.name: _bit_mask(order, i) for i, f in enumerate(ix.entries) if isinstance(f, Atom)
     }
     return KripkeModel.from_masks(range(len(order)), succ, [0] * len(order), valuation, ids[root])
 
@@ -239,19 +245,37 @@ class KdeResult:
             "profiles": len(self.frame.profiles),
         }
 
+    @cached_property
+    def _root(self) -> Profile:
+        """The least profile setting the target bit, or the least profile when none does."""
+        return min([p for p in self.frame.profiles if p[-1]] or self.frame.profiles)
+
+    @cached_property
+    def model(self) -> KripkeModel:
+        """The fixpoint frame read as a model, built once, pointed at the root profile."""
+        return frame_model(self.frame, self.index, self._root)
+
     def witness(self) -> Optional[KripkeModel]:
-        """The fixpoint model pointed at the least profile setting the target bit.
+        """The model when its root sets the target bit, else None.
 
         The model is checked before it is returned: the target must hold at
         its root and its frame must be dense, or InvariantError is raised.
         """
-        last = self.index.n - 1
-        root = min((p for p in self.frame.profiles if p[last] == 1), default=None)
-        if root is None:
+        if not self._root[-1]:
             return None
-        model = frame_model(self.frame, self.index, root)
-        verify(model, [self.index.target], DENSE, "kde witness")
-        return model
+        verify(self.model, [self.index.target], DENSE, "kde witness")
+        return self.model
+
+    def frame_failures(self) -> list[str]:
+        """Whole-frame checks: density, and each entry true exactly where its bit is set."""
+        phi = self.index.target
+        tables = ModelTables(self.model)
+        failures = [] if tables.in_class(DENSE) else [f"fixpoint frame not dense: {phi}"]
+        order = sorted(self.frame.profiles)
+        for i, entry in enumerate(self.index.entries):
+            if tables.truth(entry) != _bit_mask(order, i):
+                failures.append(f"profile bit mismatch: {phi} at entry {i}")
+        return failures
 
 
 def kde_solve(phi: Formula) -> KdeResult:

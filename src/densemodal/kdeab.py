@@ -262,15 +262,16 @@ class _Search:
 def extract_model(trace: Trace) -> KripkeModel:
     """Turn an accepted search tree into a finite pointed model.
 
-    One world per distinct saturation.  b-diamond children get b-edges;
-    every head of a window chain gets an a-edge from its anchor, each head
-    a b-edge from the next one, and the head after the last is the first of
-    the cycle, closing the loop.
+    One world per distinct saturation, numbered in discovery order.
+    b-diamond children get b-edges; every head of a window chain gets an
+    a-edge from its anchor, each head a b-edge from the next one, and the
+    head after the last is the first of the cycle, closing the loop.  The
+    edges go straight into one successor mask per world.
     """
     ids: dict[frozenset[Formula], int] = {}
     order: list[frozenset[Formula]] = []
-    ra: set[tuple[int, int]] = set()
-    rb: set[tuple[int, int]] = set()
+    succ_a: list[int] = []
+    succ_b: list[int] = []
 
     def world(node: Trace) -> int:
         got = ids.get(node.members)
@@ -279,30 +280,28 @@ def extract_model(trace: Trace) -> KripkeModel:
         wid = len(order)
         ids[node.members] = wid
         order.append(node.members)
+        succ_a.append(0)
+        succ_b.append(0)
         for _, child in node.b_children:
-            rb.add((wid, world(child)))
+            # The visit may add edges to this world's masks: finish it first.
+            cid = world(child)
+            succ_b[wid] |= 1 << cid
         for _, chain in node.a_chains:
             head_ids = [world(h) for h in chain.heads]
             count = len(head_ids)
             for i, hid in enumerate(head_ids):
-                ra.add((wid, hid))
+                succ_a[wid] |= 1 << hid
                 after = head_ids[i + 1] if i + 1 < count else head_ids[chain.cycle_start]
-                rb.add((after, hid))
+                succ_b[after] |= 1 << hid
         return wid
 
     root = world(trace)
-    valuation: dict[str, set[int]] = {}
+    val_masks: dict[str, int] = {}
     for wid, members in enumerate(order):
         for f in members:
             if isinstance(f, Atom):
-                valuation.setdefault(f.name, set()).add(wid)
-    return KripkeModel(
-        worlds=list(range(len(order))),
-        ra=ra,
-        rb=rb,
-        valuation=valuation,
-        root=root,
-    )
+                val_masks[f.name] = val_masks.get(f.name, 0) | 1 << wid
+    return KripkeModel.from_masks(range(len(order)), succ_a, succ_b, val_masks, root)
 
 
 def _verified_witness(trace: Trace, at_root: Iterable[Formula]) -> KripkeModel:

@@ -10,8 +10,10 @@ every cross-check.
 A `KripkeModel` holds its worlds in ascending order and each relation in
 one form: one int successor mask per world, bit i standing for
 `worlds[i]`, so an int is a set of worlds.  It is immutable; `ra` and
-`rb` are read-only views of those masks as sets of edges, and the JSON
-writers read the masks bit by bit, which is world-id order.
+`rb` are read-only views of those masks as sets of edges.  Both solvers
+and bounded_search build their models from masks with `from_masks`; only
+`model_from_json` takes edge sets.  One JSON writer, `model_json_text`,
+reads the masks bit by bit, which is world-id order.
 
 Checks run set-at-a-time on those bitsets.  `ModelTables` holds one
 model's truth sets.  A box holds at w when w's successor mask has no
@@ -84,8 +86,7 @@ class KripkeModel:
         root: int,
     ):
         """Convert the edges and world sets to masks, checking each once."""
-        worlds = tuple(sorted(worlds))
-        position = _positions(worlds, root)
+        worlds, position = _positions(worlds, root)
         succ_a = _successors(position, ra)
         succ_b = _successors(position, rb)
         val_masks = {}
@@ -113,10 +114,10 @@ class KripkeModel:
         stands for `worlds[i]`; a mask with a bit past the world count
         raises ValueError.
         """
-        worlds = tuple(worlds)
-        if list(worlds) != sorted(worlds):
+        given = tuple(worlds)
+        worlds, position = _positions(given, root)
+        if worlds != given:
             raise ValueError("worlds must be in ascending order")
-        position = _positions(worlds, root)
         succ_a, succ_b, n = tuple(succ_a), tuple(succ_b), len(worlds)
         if len(succ_a) != n or len(succ_b) != n:
             raise ValueError("a model needs one successor mask per world")
@@ -173,16 +174,20 @@ class KripkeModel:
         )
 
 
-def _positions(worlds: tuple[int, ...], root: int) -> dict[int, int]:
-    """Each world's bit position, after checking the world set and the root."""
+def _positions(worlds: Iterable[int], root: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The sorted worlds and their bit positions; worlds and root must be ints, not bools."""
+    worlds = tuple(worlds)
     if not worlds:
         raise ValueError("a model needs at least one world")
+    if any(type(w) is not int for w in (*worlds, root)):
+        raise ValueError("worlds and the root must be ints")
+    worlds = tuple(sorted(worlds))
     position = {w: i for i, w in enumerate(worlds)}
     if root not in position:
         raise ValueError("root must be a world")
     if len(position) != len(worlds):
         raise ValueError("duplicate worlds")
-    return position
+    return worlds, position
 
 
 def _successors(position: dict[int, int], rel: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -537,18 +542,6 @@ def _k_sat(branch: frozenset[Formula]) -> bool:
 # edges in world-id order.
 
 
-def model_to_json(model: KripkeModel, include_rb: bool = True) -> dict:
-    data = {
-        "worlds": list(model.worlds),
-        "ra": [[s, t] for s, t in model.ra],
-        "val": {name: sorted(ws) for name, ws in sorted(model.valuation.items())},
-        "root": model.root,
-    }
-    if include_rb:
-        data["rb"] = [[s, t] for s, t in model.rb]
-    return data
-
-
 def model_from_json(data: dict) -> KripkeModel:
     return KripkeModel(
         worlds=data["worlds"],
@@ -560,11 +553,12 @@ def model_from_json(data: dict) -> KripkeModel:
 
 
 def model_json_text(model: KripkeModel, include_rb: bool = True) -> str:
-    """json.dumps(model_to_json(model, include_rb), sort_keys=True), written directly.
+    """The model's JSON text, keys sorted; the one model writer.
 
-    Worlds are ints, so the text is formatted straight from the masks: each
-    world id is written once, and each successor mask becomes one run of
-    edges; only atom names go through json.dumps.
+    `json.loads` of it gives the dict form.  Worlds are ints, so the text
+    is formatted straight from the masks: each world id is written once,
+    and each successor mask becomes one run of edges; only atom names go
+    through json.dumps.
     """
     names = [str(w) for w in model.worlds]
 

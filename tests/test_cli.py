@@ -27,7 +27,7 @@ from densemodal import (
     render,
     truth_set,
 )
-from densemodal.cli import _fixpoint_failures, main
+from densemodal.cli import main, run_corpus
 from densemodal.formula import MAX_DEPTH
 from densemodal.oracle import ModelTables
 from conftest import NESTINGS, random_formula
@@ -204,7 +204,7 @@ class TestCorpus:
         for text in ("<>p & [](p -> <>~p)", "<>(p & []false)"):
             phi = parse(text)
             ix = build_index(phi)
-            assert _fixpoint_failures(kde_solve(phi), phi) == []
+            assert kde_solve(phi).frame_failures() == []
             frame = initial_frame(ix)
             order = sorted(frame.profiles)
             model = frame_model(frame, ix, order[0])
@@ -216,7 +216,22 @@ class TestCorpus:
             assert expected
             if not is_dense(model):
                 expected.insert(0, f"fixpoint frame not dense: {phi}")
-            assert _fixpoint_failures(KdeResult(ix, frame, 0), phi) == expected
+            assert KdeResult(ix, frame, 0).frame_failures() == expected
+
+    def test_each_kde_formula_builds_one_model(self, monkeypatch):
+        # The frame checks and the witness read one model per formula.
+        real = kde_module.frame_model
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kde_module, "frame_model", counting)
+        lines, ok = run_corpus("kde", 5, 1, 3)
+        assert ok
+        assert lines[1:3] == ["formulas: 202", "solver sat: 149 unsat: 53"]
+        assert len(calls) == 202
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import tracemalloc
 
@@ -24,7 +25,7 @@ from densemodal import (
     initial_windows,
     is_weakly_dense,
     model_check,
-    model_to_json,
+    model_json_text,
     parse,
     sat_saturation,
     sat_set,
@@ -66,7 +67,7 @@ class TestSatSet:
         assert result.verdict == SAT
         # root, then the two chain heads {~p} and {}; the loop closes on the
         # empty head with a b self-edge.
-        assert model_to_json(result.witness) == {
+        assert json.loads(model_json_text(result.witness)) == {
             "worlds": [0, 1, 2],
             "ra": [[0, 1], [0, 2]],
             "rb": [[2, 1], [2, 2]],
@@ -77,7 +78,7 @@ class TestSatSet:
     def test_b_diamond_witness_shape(self):
         result = sat_set({bi("~[b]p")})
         assert result.verdict == SAT
-        assert model_to_json(result.witness) == {
+        assert json.loads(model_json_text(result.witness)) == {
             "worlds": [0, 1],
             "ra": [],
             "rb": [[0, 1]],

@@ -25,7 +25,6 @@ from densemodal import (
     model_check,
     model_from_json,
     model_json_text,
-    model_to_json,
     parse,
     truth_set,
     verify,
@@ -195,11 +194,10 @@ class TestModelForms:
             want = reference.EdgeModel(worlds, ra, rb, val, root)
             for include_rb in (True, False):
                 text = model_json_text(m, include_rb)
-                assert text == json.dumps(model_to_json(m, include_rb), sort_keys=True)
                 assert text == json.dumps(reference.model_to_json(want, include_rb), sort_keys=True)
             again = KripkeModel.from_masks(m.worlds, m.succ_a, m.succ_b, m.val_masks, m.root)
             assert again == m
-            assert model_to_json(again) == model_to_json(m)
+            assert model_json_text(again) == model_json_text(m)
 
     def test_from_masks_rejects_stray_bits_and_unsorted_worlds(self):
         m = KripkeModel.from_masks([5, 9], [0b10, 0], [0, 0b11], {"p": 0b01}, 9)
@@ -323,7 +321,7 @@ class TestBoundedSearch:
         m = bounded_search({parse("~[a]p", "bimodal")}, "weakly_dense", 2, 1)
         assert m is not None
         # The enumeration order makes the single looping world come first.
-        assert model_to_json(m) == {
+        assert json.loads(model_json_text(m)) == {
             "worlds": [0],
             "ra": [[0, 0]],
             "rb": [[0, 0]],
@@ -333,7 +331,7 @@ class TestBoundedSearch:
 
     def test_first_dense_model(self):
         m = bounded_search({parse("<>p & ~p")}, "dense", 3, 1)
-        assert model_to_json(m, include_rb=False) == {
+        assert json.loads(model_json_text(m, include_rb=False)) == {
             "worlds": [0, 1],
             "ra": [[0, 0], [0, 1]],
             "val": {"p": [1]},
@@ -389,7 +387,7 @@ class TestKValidity:
 class TestJson:
     def test_round_trip(self):
         m = KripkeModel([0, 1], {(0, 1)}, {(1, 0)}, {"p": {1}}, 0)
-        again = model_from_json(model_to_json(m))
+        again = model_from_json(json.loads(model_json_text(m)))
         assert again.worlds == m.worlds
         assert again.ra == m.ra
         assert again.rb == m.rb
@@ -398,21 +396,23 @@ class TestJson:
 
     def test_unimodal_omits_rb(self):
         m = KripkeModel([0], set(), set(), {}, 0)
-        assert "rb" not in model_to_json(m, include_rb=False)
-        assert model_from_json(model_to_json(m, include_rb=False)).rb == set()
+        data = json.loads(model_json_text(m, include_rb=False))
+        assert "rb" not in data
+        assert model_from_json(data).rb == set()
 
     def test_text_matches_json_dumps(self):
+        # The writer against json.dumps of the edge-set reference's dict form.
         rng = random.Random(71)
-        models = [
-            KripkeModel([0], set(), set(), {}, 0),
-            KripkeModel([0, 1], {(0, 1)}, {(1, 0)}, {"p": {1}}, 1),
-            KripkeModel([2, 0, 1], set(), {(2, 2)}, {"q": set(), "p": {0, 2}, 'a"\u00e9': {1}}, 0),
+        fields = [
+            ([0], set(), set(), {}, 0),
+            ([0, 1], {(0, 1)}, {(1, 0)}, {"p": {1}}, 1),
+            ([2, 0, 1], set(), {(2, 2)}, {"q": set(), "p": {0, 2}, 'a"\u00e9': {1}}, 0),
         ]
         for _ in range(50):
             n = rng.randint(1, 12)
             edges = [(s, t) for s in range(n) for t in range(n)]
-            models.append(
-                KripkeModel(
+            fields.append(
+                (
                     rng.sample(range(n), n),
                     set(rng.sample(edges, rng.randint(0, len(edges)))),
                     set(rng.sample(edges, rng.randint(0, len(edges)))),
@@ -423,9 +423,10 @@ class TestJson:
                     rng.randrange(n),
                 )
             )
-        for m in models:
+        for args in fields:
+            m, want = KripkeModel(*args), reference.EdgeModel(*args)
             for include_rb in (True, False):
-                expected = json.dumps(model_to_json(m, include_rb), sort_keys=True)
+                expected = json.dumps(reference.model_to_json(want, include_rb), sort_keys=True)
                 assert model_json_text(m, include_rb) == expected
 
     def test_duplicate_worlds_are_rejected(self):
@@ -433,6 +434,21 @@ class TestJson:
             model_from_json({"worlds": [0, 0], "ra": [], "val": {}, "root": 0})
         with pytest.raises(ValueError, match="duplicate worlds"):
             KripkeModel([3, 7, 3], set(), set(), {}, 3)
+
+    def test_non_int_world_ids_are_rejected(self):
+        # The writer prints world ids as they are: a string id would make
+        # text that is not JSON, and a bool id would print as True.
+        for data in (
+            {"worlds": ["a", "b"], "ra": [["a", "b"]], "root": "a"},
+            {"worlds": [True, False], "ra": [], "root": True},
+            {"worlds": [0, 1], "ra": [], "root": True},
+            {"worlds": [0, "a"], "ra": [], "root": 0},
+            {"worlds": [0.0], "ra": [], "root": 0.0},
+        ):
+            with pytest.raises(ValueError, match="^worlds and the root must be ints$"):
+                model_from_json(data)
+        with pytest.raises(ValueError, match="^worlds and the root must be ints$"):
+            KripkeModel.from_masks([False, True], [0, 0], [0, 0], {}, False)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+from itertools import compress, product
 
 import pytest
 
@@ -17,11 +18,13 @@ from densemodal import (
     parse,
     sat_set,
     set_degree,
+    sort_key,
     window_to_json,
 )
 from densemodal import windows as windows_module
 from densemodal.saturation import is_saturation_of, saturations
 from conftest import random_formula
+import rule_reference as reference
 
 P, Q = Atom("p"), Atom("q")
 
@@ -181,3 +184,66 @@ class TestShiftedSeedTest:
         assert yielded
         assert all(is_window(cont.parts, cont.anchor) for cont in yielded)
         assert result.stats == {"max_depth": 2, "saturations": 4, "windows": 6}
+
+
+def continuations_by_definition(window):
+    """Every continuation of a window, found by brute force.
+
+    Parts are chosen right to left, and each is any subset of its chain
+    seed's closure that the reference membership test accepts as a
+    saturation of both the chain seed and the shifted seed.  Neither the
+    package's saturation search nor its membership test is used.
+    """
+    boxa = box_inverse(window.anchor.members, MOD_A)
+
+    def saturations_of_both(seed, shifted):
+        closure = sorted(reference.csf(seed), key=sort_key)
+        for picks in product((0, 1), repeat=len(closure)):
+            cand = frozenset(compress(closure, picks))
+            if reference.is_saturation_of(cand, seed) and reference.is_saturation_of(cand, shifted):
+                yield cand
+
+    found = set()
+
+    def choose(j, suffix):
+        if j == 0:
+            found.add(suffix)
+            return
+        if j == window.k + 1:
+            seed = shifted = boxa
+        else:
+            boxb_next = box_inverse(suffix[0], MOD_B)
+            seed, shifted = boxb_next | window.parts[j], boxa | boxb_next
+        for cand in saturations_of_both(frozenset(seed), frozenset(shifted)):
+            choose(j - 1, (cand,) + suffix)
+
+    choose(window.k + 1, ())
+    return found
+
+
+class TestEveryContinuation:
+    """`continuations` yields every continuation of a window, each once.
+
+    Random formulas only reach windows with one continuation.  Under the
+    a-box of these anchors, q | r gives each inner part a choice of two, so
+    every window has two continuations and dropping either shows.
+    """
+
+    FORMULAS = ("<a>p & [a][b](q | r)", "<a>p & [a][b][b](q | r)")
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_matches_the_brute_force_enumeration(self, text):
+        (anchor,) = [Saturation(s.members, s.members) for s in saturations({parse(text, "bimodal")})]
+        frontier = list(initial_windows(anchor, Not(Not(P))))
+        seen = set()
+        while frontier:
+            window = frontier.pop()
+            if window.parts in seen:
+                continue
+            seen.add(window.parts)
+            got = list(continuations(window))
+            parts = [cont.parts for cont in got]
+            assert len(parts) == len(set(parts)) == 2
+            assert set(parts) == continuations_by_definition(window)
+            frontier.extend(got)
+        assert len(seen) == 8
