@@ -19,15 +19,22 @@ closure in sort_key order with each member's rule and clashes; it is built
 once per seed (`saturation_test` keeps it for every candidate tested
 against one seed) and read by `_pending` and `_conflicts` at every visited
 set.  `_branches` explores them: a depth-first search over the graph of
-intermediate sets, which covers every application order.  It first tests
-the seed against the same clash table: a clashing seed ends the search at
-once, and from a clash-free seed no move adds a clash, so no other clash
-test is needed.  Enumeration reads every finished branch of that search;
-the membership test runs it restricted to the candidate and accepts when
-it finishes on the candidate.  The disjunction rule is blocked once one of
-its two targets is present, so branches never pad themselves with
-underived material.  An inconsistent seed has no saturations at all;
-callers treat the empty stream as the failed branch.
+intermediate sets.  Where the first rule that applies is isolated, its
+moves commuting with every move the seed's rules can make, the search
+takes that rule's moves alone; elsewhere it takes every move, in every
+application order.  Every finished branch can be reached by a run that
+starts with an isolated rule's move, so skipping the other moves there
+loses no branch and changes no yield order; it only spares the search
+the interleavings of rules that do not affect each other, which grow
+exponentially with their number (`_branches` gives the argument).  It
+first tests the seed against the same clash table: a clashing seed ends
+the search at once, and from a clash-free seed no move adds a clash, so
+no other clash test is needed.  Enumeration reads every finished branch
+of that search; the membership test runs it restricted to the candidate
+and accepts when it finishes on the candidate.  The disjunction rule is
+blocked once one of its two targets is present, so branches never pad
+themselves with underived material.  An inconsistent seed has no
+saturations at all; callers treat the empty stream as the failed branch.
 """
 
 from __future__ import annotations
@@ -51,15 +58,31 @@ class Saturation:
 _Rule = tuple[Formula, tuple[Formula, ...], bool]
 # The formulas each closure formula clashes with, falsum aside.
 _Clash = dict[Formula, tuple[Formula, ...]]
+# The first move of an isolated rule, mapped to that rule's moves.
+_Isolated = dict[Formula, tuple[Formula, ...]]
+_Table = tuple[list[_Rule], _Clash, _Isolated]
 
 
-def _table(closure: frozenset[Formula]) -> tuple[list[_Rule], _Clash]:
-    """The rules of the closure's members, in sort_key order, and their clashes.
+def _table(seed: frozenset[Formula], closure: frozenset[Formula]) -> _Table:
+    """The closure's rules and clashes, and the seed's isolated rules.
+
+    The rules are those of the closure's members, in sort_key order.
 
     A formula clashes with its child if it is a negation and with its
     negation if that lies in the closure; falsum clashes with everything
     (`_conflicts`).  The closure holds ~phi and ~psi for each ~(phi & psi)
     in it, so the table builds no formula.
+
+    A formula is live if it is in the seed or a rule whose premise is live
+    adds it; every set the search reaches holds live formulas only.  A
+    rule is isolated when its moves commute with every other live move
+    (see `_branches`):
+      * a conclusion g of a live conjunction or double negation, if g is
+        not falsum, no live disjunction rule targets g, and no live
+        conclusion clashes with g: g maps to (g,);
+      * a live ~(phi & psi) whose two targets are distinct, added by no
+        other live rule and clashing with no live conclusion: its first
+        target maps to both.
     """
     negation = {f.child: f for f in closure if isinstance(f, Not)}
     rules: list[_Rule] = []
@@ -75,43 +98,95 @@ def _table(closure: frozenset[Formula]) -> tuple[list[_Rule], _Clash]:
                 rules.append((f, (c.child,), False))
             elif isinstance(c, And):
                 rules.append((f, (negation[c.left], negation[c.right]), True))
-    return rules, clash
+
+    adds_of = {f: adds for f, adds, _ in rules}
+    stack = [f for f in seed if f in adds_of]
+    live = set(stack)  # the live formulas that have a rule
+    while stack:
+        for g in adds_of[stack.pop()]:
+            if g in adds_of and g not in live:
+                live.add(g)
+                stack.append(g)
+    live_rules = [rule for rule in rules if rule[0] in live]
+    # How often live rules add each live conclusion, and every formula
+    # that clashes with one (clashing is symmetric).
+    produced: dict[Formula, int] = {}
+    targeted: set[Formula] = set()
+    for _, adds, blockable in live_rules:
+        for g in adds:
+            produced[g] = produced.get(g, 0) + 1
+        if blockable:
+            targeted.update(adds)
+    clashing = {h for g in produced for h in clash[g]}
+
+    isolated: _Isolated = {}
+    for _, adds, blockable in live_rules:
+        if not blockable:
+            for g in adds:
+                if not (isinstance(g, Falsum) or g in targeted or g in clashing):
+                    isolated[g] = (g,)
+        else:
+            a, b = adds
+            if a is not b and produced[a] == produced[b] == 1 and not (
+                a in clashing or b in clashing
+            ):
+                isolated[a] = adds
+    return rules, clash, isolated
 
 
 def _conflicts(members: frozenset[Formula], new: Formula, clash: _Clash) -> bool:
     return isinstance(new, Falsum) or not members.isdisjoint(clash[new])
 
 
-def _pending(members: frozenset[Formula], rules: list[_Rule]) -> list[Formula]:
+def _pending(
+    members: frozenset[Formula], rules: list[_Rule], isolated: _Isolated
+) -> tuple[Formula, ...]:
     """Formulas a rule could still add, in deterministic order.
 
     Members lie in the closure, so reading the table's rules in order and
-    skipping non-members reads the members in sort_key order.
+    skipping non-members reads the members in sort_key order.  When the
+    first move belongs to an isolated rule, that rule's moves are the
+    only ones returned (`_branches` says why that is enough).
     """
     moves: dict[Formula, None] = {}
     for f, adds, blockable in rules:
         if f in members and (not blockable or members.isdisjoint(adds)):
             for g in adds:
                 if g not in members:
+                    if not moves and g in isolated:
+                        return isolated[g]
                     moves[g] = None
-    return list(moves)
+    return tuple(moves)
 
 
 def _branches(
     seed: frozenset[Formula],
-    table: tuple[list[_Rule], _Clash],
+    table: _Table,
     within: Optional[frozenset[Formula]] = None,
 ) -> Iterator[frozenset[Formula]]:
     """Depth-first over the graph of partial branches; yields finished ones.
 
-    table is `_table(csf(seed))`.  A finished branch is a set no rule
-    applies to.  With within set, only moves that add a member of within
-    are taken.  Order matters: a disjunction rule is blocked once
+    table is `_table(seed, csf(seed))`.  A finished branch is a set no
+    rule applies to.  With within set, only moves that add a member of
+    within are taken.  Order matters: a disjunction rule is blocked once
     fulfilled, so an element may be addable in one run order but not
     another.  A clashing seed yields nothing; from a clash-free seed, no
     move adds a clash, so every set reached is clash-free.
+
+    When the first pending move belongs to an isolated rule, only that
+    rule's moves are pushed.  A conjunction's or double negation's
+    conclusion stays pending until it is added, and a fork stays open
+    until one of its targets is added, which only the fork does; so every
+    finished branch below the set holds that conclusion or a target of
+    that fork.  Adding it blocks no other live rule and clashes with no
+    live conclusion, so each run to the branch remains a run when that
+    move is taken first.  The skipped siblings thus reach no finished
+    branch that the kept ones do not.  The graph is acyclic and the
+    search yields each finished branch where it first meets it, so the
+    family and its order are those of the search that pushes every
+    move; only fewer partial branches are visited.
     """
-    rules, clash = table
+    rules, clash, isolated = table
     if any(_conflicts(seed, f, clash) for f in seed):
         return
     visited: set[frozenset[Formula]] = set()
@@ -121,7 +196,7 @@ def _branches(
         if current in visited:
             continue
         visited.add(current)
-        moves = _pending(current, rules)
+        moves = _pending(current, rules, isolated)
         if not moves:
             yield current
             continue
@@ -139,7 +214,7 @@ def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
     classically inconsistent.
     """
     seed = frozenset(seed)
-    for members in _branches(seed, _table(csf(seed))):
+    for members in _branches(seed, _table(seed, csf(seed))):
         yield Saturation(members, seed)
 
 
@@ -160,7 +235,7 @@ def saturation_test(seed: Iterable[Formula]) -> Callable[[Iterable[Formula]], bo
     """
     seed = frozenset(seed)
     closure = csf(seed)
-    table = _table(closure)
+    table = _table(seed, closure)
 
     def test(candidate: Iterable[Formula]) -> bool:
         candidate = frozenset(candidate)

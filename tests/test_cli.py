@@ -376,6 +376,19 @@ class TestDeepNesting:
         assert code == 65 and not out
         assert f"deeper than {MAX_DEPTH} levels" in err
 
+    @pytest.mark.parametrize(
+        "mode, verdict, saturations",
+        [("valid", "INVALID", 1), ("sat", "SAT", MAX_DEPTH + 1)],
+    )
+    def test_kdeab_answers_the_longest_atom_chain(self, capsys, mode, verdict, saturations):
+        # p0 | ... | p176 sits at MAX_DEPTH.  Searching every interleaving
+        # of the negated chain's conjunctions would visit about 2**178 sets
+        # for valid mode's one saturation.
+        chain = " | ".join(f"p{i}" for i in range(MAX_DEPTH + 1))
+        code, out, err = run(capsys, "solve", "--logic", "kdeab", "--mode", mode, "--stats", chain)
+        stats = {"max_depth": 0, "saturations": saturations, "windows": 0}
+        assert (code, out, err) == (0, f"{verdict}\n{json.dumps(stats)}\n", "")
+
 
 def parent_solve_kde(mode, text):
     """The CLI's kde path as it was composed before `kde_solve`.

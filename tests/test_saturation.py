@@ -2,6 +2,7 @@ import itertools
 import random
 
 from densemodal import (
+    SAT,
     And,
     Atom,
     Box,
@@ -12,10 +13,12 @@ from densemodal import (
     all_formulas,
     csf,
     parse,
+    sat_set,
     set_degree,
     set_size,
     sort_key,
 )
+from densemodal import saturation
 from densemodal.saturation import (
     is_saturation_of,
     saturation_family,
@@ -209,18 +212,28 @@ class TestMembership:
 
 
 class TestReference:
-    """The table-driven search against the per-visit rules it replaced."""
+    """The table-driven search, which takes an isolated rule's moves alone,
+    against the per-visit rules and the search over every move it replaced."""
 
     @staticmethod
-    def _check(seed):
+    def _check(seed, by_family=False):
+        """Family and order, then membership of every saturation and of
+        every set one member away from one.  With by_family, membership
+        is checked against the reference's family instead of its
+        membership test, whose search costs seconds per ladder seed."""
         family = [s.members for s in saturation_family(seed)]
-        assert family == reference.saturation_family(seed), seed
+        expected_family = reference.saturation_family(seed)
+        assert family == expected_family, seed
         universe = csf(seed)
         for members in family:
             near = [members | {x} for x in universe - members]
             near += [members - {x} for x in members - seed]
             for cand in [members, *near]:
-                assert is_saturation_of(cand, seed) == reference.is_saturation_of(cand, seed)
+                if by_family:
+                    expected = cand in expected_family
+                else:
+                    expected = reference.is_saturation_of(cand, seed)
+                assert is_saturation_of(cand, seed) == expected
 
     def test_random_seeds(self):
         rng = random.Random(61)
@@ -235,6 +248,30 @@ class TestReference:
     def test_every_small_formula(self):
         for phi in all_formulas(6, ["p"], (MOD_A, MOD_B)):
             self._check(frozenset({phi}))
+
+    def test_disjunction_ladders(self):
+        for n in range(1, 6):
+            ladder = " & ".join(f"(p{i} | q{i})" for i in range(n))
+            for text in (ladder, ladder + " & <b>false"):
+                self._check(frozenset({parse(text, "bimodal")}), by_family=True)
+
+    def test_negated_disjunction_chains(self):
+        for n in range(1, 11):
+            chain = " | ".join(f"p{i}" for i in range(n))
+            self._check(frozenset({parse(f"~({chain})", "bimodal")}))
+
+    def test_random_seeds_of_10_to_30_nodes(self):
+        rng = random.Random(67)
+        checked = 0
+        while checked < 500:
+            budget = rng.randint(10, 30)
+            seed = frozenset(
+                random_formula(rng, budget, ["p", "q", "r"], (MOD_A, MOD_B))
+                for _ in range(rng.randint(1, 3))
+            )
+            if 10 <= set_size(seed) <= 30:
+                self._check(seed)
+                checked += 1
 
     def test_ladder_builds_no_formula_per_visit(self, monkeypatch):
         # Building fresh Not partners at every visited set took 99,273 nodes
@@ -256,6 +293,47 @@ class TestReference:
         monkeypatch.undo()
         assert len(family) == 32
         assert built <= bound, f"{built} Not nodes built"
+
+
+class TestWork:
+    """Visited sets, counted as calls of `_pending`, one per set.
+
+    Searching every interleaving of independent rules visits exponentially
+    many partial branches; taking an isolated rule's moves alone keeps the
+    count near the size of the closure times the family.
+    """
+
+    @staticmethod
+    def _visits(monkeypatch, run):
+        count = 0
+        pending = saturation._pending
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return pending(*args)
+
+        monkeypatch.setattr(saturation, "_pending", counting)
+        result = run()
+        return count, result
+
+    def test_valid_mode_chain_visits_linearly_many_sets(self, monkeypatch):
+        # Valid mode solves the negation; every interleaving of its
+        # conjunctions is about 2**15 sets.
+        chain = " | ".join(f"p{i}" for i in range(14))
+        seed = frozenset({Not(parse(chain, "bimodal"))})
+        visits, result = self._visits(monkeypatch, lambda: sat_set(seed))
+        assert result.verdict == SAT
+        assert result.stats["saturations"] == 1
+        assert visits <= 2 * len(csf(seed)), visits
+
+    def test_six_clause_ladder_visits_few_sets(self, monkeypatch):
+        # 64 saturations; every interleaving is 48,210 sets.
+        ladder = " & ".join(f"(p{i} | q{i})" for i in range(6))
+        seed = frozenset({parse(ladder, "bimodal")})
+        visits, family = self._visits(monkeypatch, lambda: saturation_family(seed))
+        assert len(family) == 64
+        assert visits <= 400, visits
 
 
 class TestProperties:
