@@ -9,7 +9,10 @@ a bare "[]"/"<>" for them in unimodal mode.
 
 Nodes are hash-consed: there is one object per distinct formula, so
 equality is identity and every set and memo of formulas hashes by
-identity.  Construction is single-threaded (see `Formula`).
+identity.  Construction is single-threaded (see `Formula`).  Each node
+also stores its sort key, a flat tuple of its preorder tokens, so that
+sorting formulas compares ints and names, never nested tuples (see
+`sort_key`).
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class Not(Formula):
 
     def _init(self, child: Formula) -> None:
         _set(self, "child", child)
-        _set(self, "sort_key", (2, child.sort_key))
+        _set(self, "sort_key", (2,) + child.sort_key)
         _set(self, "degree", child.degree)
 
 
@@ -136,7 +139,7 @@ class And(Formula):
     def _init(self, left: Formula, right: Formula) -> None:
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "sort_key", (3, left.sort_key, right.sort_key))
+        _set(self, "sort_key", (3,) + left.sort_key + right.sort_key)
         ld, rd = left.degree, right.degree
         _set(self, "degree", ld if ld > rd else rd)
 
@@ -149,7 +152,7 @@ class Box(Formula):
             raise ValueError(f"unknown modality {modality!r}")
         _set(self, "modality", modality)
         _set(self, "child", child)
-        _set(self, "sort_key", (4, modality, child.sort_key))
+        _set(self, "sort_key", (4, modality) + child.sort_key)
         _set(self, "degree", 1 + child.degree)
 
 
@@ -178,6 +181,17 @@ def sort_key(phi: Formula) -> tuple:
     Every enumeration in the package iterates formulas in this order, so
     results are reproducible across processes: sets of formulas hash by
     identity and iterate in an order that follows memory layout.
+
+    The key is the node's preorder token tuple: a kind code (falsum 0,
+    atom 1, negation 2, conjunction 3, box 4), then the atom's name or
+    the box's modality, then the children's keys, concatenated.  It
+    orders exactly as the nested tuple (code, name or modality, child
+    keys...) would: no formula's tokens are a proper prefix of another's,
+    so two keys first differ inside the first child whose keys differ,
+    and at that position both hold a token of the same role and type.
+    Comparing two keys is a flat scan, where nested tuples cost time
+    quadratic in depth per comparison.  The price is memory: a node's key
+    holds one slot per node below it, O(size x height) slots per tree.
     """
     return phi.sort_key
 

@@ -48,7 +48,7 @@ from .formula import (
 from .oracle import WEAKLY_DENSE, KripkeModel, verify
 # kdeab does not call these; densebench/layers.py wraps them as kdeab call sites.
 from .oracle import is_weakly_dense, model_check  # noqa: F401
-from .saturation import Saturation, is_saturation_of, saturation_family
+from .saturation import Saturation, Tables, is_saturation_of, saturation_family
 from . import windows as _windows
 
 SAT = "SAT"
@@ -157,11 +157,13 @@ class _Search:
         self.memo: dict[frozenset[Formula], Optional[Trace]] = {}
         self.stats = SatStats()
         self._cont_cache: dict[tuple, tuple] = {}
+        # Each seed's closure and rule table, built once per solve.
+        self.tables: Tables = {}
 
     # -- saturation choice points ------------------------------------------
 
     def family(self, seed: frozenset[Formula]) -> tuple[Saturation, ...]:
-        fam = saturation_family(seed)
+        fam = saturation_family(seed, self.tables)
         self.stats.saturations += len(fam)
         return fam
 
@@ -169,7 +171,7 @@ class _Search:
         key = (window.anchor.members, window.parts)
         got = self._cont_cache.get(key)
         if got is None:
-            got = tuple(_windows.continuations(window))
+            got = tuple(_windows.continuations(window, self.tables))
             self._cont_cache[key] = got
         return got
 
@@ -196,7 +198,7 @@ class _Search:
             anchor = Saturation(members, members)
             for body in _diamond_bodies(members, MOD_A):
                 chain = None
-                for start in _windows.initial_windows(anchor, Not(body)):
+                for start in _windows.initial_windows(anchor, Not(body), self.tables):
                     self.stats.windows += 1
                     chain, longest = self.lasso_chain(start, depth)
                     if chain is not None:

@@ -15,26 +15,29 @@ all three rules, so a saturation of a seed has the seed's modal degree.
 Every set the rules reach lies in the seed's classical closure csf(seed),
 and so does every formula a rule adds or a clash test asks for.  The rules
 and clashes are therefore written once, in `_table`, which lists the
-closure in sort_key order with each member's rule and clashes; it is built
-once per seed (`saturation_test` keeps it for every candidate tested
-against one seed) and read by `_pending` and `_conflicts` at every visited
-set.  `_branches` explores them: a depth-first search over the graph of
-intermediate sets.  Where the first rule that applies is isolated, its
-moves commuting with every move the seed's rules can make, the search
-takes that rule's moves alone; elsewhere it takes every move, in every
-application order.  Every finished branch can be reached by a run that
-starts with an isolated rule's move, so skipping the other moves there
-loses no branch and changes no yield order; it only spares the search
-the interleavings of rules that do not affect each other, which grow
-exponentially with their number (`_branches` gives the argument).  It
-first tests the seed against the same clash table: a clashing seed ends
-the search at once, and from a clash-free seed no move adds a clash, so
-no other clash test is needed.  Enumeration reads every finished branch
-of that search; the membership test runs it restricted to the candidate
-and accepts when it finishes on the candidate.  The disjunction rule is
-blocked once one of its two targets is present, so branches never pad
-themselves with underived material.  An inconsistent seed has no
-saturations at all; callers treat the empty stream as the failed branch.
+closure in sort_key order with each member's rule and clashes, and read by
+`_pending` and `_conflicts` at every visited set.  It is built once per
+seed per solve: a kdeab solve hands one `Tables` dict to every family and
+membership test it asks for, and a call without one builds the seed's
+table for that call alone (`saturation_test` keeps it for every candidate
+tested against one seed).  `_branches` explores them: a depth-first search
+over the graph of intermediate sets.  Where the first rule that applies is
+isolated, so that taking its moves before any other keeps every run to a
+finished branch a run, the search takes that rule's moves alone; elsewhere
+it takes every move, in every application order.  Every finished branch
+can be reached by a run that starts with an isolated rule's move, so
+skipping the other moves there loses no branch and changes no yield order;
+it only spares the search the interleavings of rules that do not affect
+each other, which grow exponentially with their number (`_branches` gives
+the argument).  It first tests the seed against the same clash table: a
+clashing seed ends the search at once, and from a clash-free seed no move
+adds a clash, so no other clash test is needed.  Enumeration reads every
+finished branch of that search; the membership test runs it restricted to
+the candidate and accepts when it finishes on the candidate.  The
+disjunction rule is blocked once one of its two targets is present, so
+branches never pad themselves with underived material.  An inconsistent
+seed has no saturations at all; callers treat the empty stream as the
+failed branch.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ _Clash = dict[Formula, tuple[Formula, ...]]
 # The first move of an isolated rule, mapped to that rule's moves.
 _Isolated = dict[Formula, tuple[Formula, ...]]
 _Table = tuple[list[_Rule], _Clash, _Isolated]
+# Seeds mapped to their closure and table.  One solve keeps one such dict
+# and hands it to every family and membership test it asks for, so that
+# each seed's table is built once per solve; nothing outlives the solve.
+Tables = dict[frozenset[Formula], tuple[frozenset[Formula], _Table]]
 
 
 def _table(seed: frozenset[Formula], closure: frozenset[Formula]) -> _Table:
@@ -75,14 +82,16 @@ def _table(seed: frozenset[Formula], closure: frozenset[Formula]) -> _Table:
 
     A formula is live if it is in the seed or a rule whose premise is live
     adds it; every set the search reaches holds live formulas only.  A
-    rule is isolated when its moves commute with every other live move
-    (see `_branches`):
-      * a conclusion g of a live conjunction or double negation, if g is
-        not falsum, no live disjunction rule targets g, and no live
-        conclusion clashes with g: g maps to (g,);
-      * a live ~(phi & psi) whose two targets are distinct, added by no
-        other live rule and clashing with no live conclusion: its first
-        target maps to both.
+    rule is isolated when taking its moves first keeps every run to a
+    finished branch a run (see `_branches`):
+      * a conclusion g of a live conjunction or double negation, if no
+        live disjunction rule targets g: g maps to (g,);
+      * a live ~(phi & psi) whose two targets are distinct and added by
+        no other live rule: its first target maps to both.
+    Neither condition asks about clashes or falsum: a finished branch
+    holds the isolated move's formula and is clash-free, so no other move
+    of a run to it clashes with that formula.  A closure with no rule has
+    no isolated rule, and the liveness pass is skipped.
     """
     negation = {f.child: f for f in closure if isinstance(f, Not)}
     rules: list[_Rule] = []
@@ -98,6 +107,8 @@ def _table(seed: frozenset[Formula], closure: frozenset[Formula]) -> _Table:
                 rules.append((f, (c.child,), False))
             elif isinstance(c, And):
                 rules.append((f, (negation[c.left], negation[c.right]), True))
+    if not rules:
+        return rules, clash, {}
 
     adds_of = {f: adds for f, adds, _ in rules}
     stack = [f for f in seed if f in adds_of]
@@ -108,8 +119,8 @@ def _table(seed: frozenset[Formula], closure: frozenset[Formula]) -> _Table:
                 live.add(g)
                 stack.append(g)
     live_rules = [rule for rule in rules if rule[0] in live]
-    # How often live rules add each live conclusion, and every formula
-    # that clashes with one (clashing is symmetric).
+    # How often live rules add each live conclusion, and the targets of
+    # live disjunction rules.
     produced: dict[Formula, int] = {}
     targeted: set[Formula] = set()
     for _, adds, blockable in live_rules:
@@ -117,19 +128,16 @@ def _table(seed: frozenset[Formula], closure: frozenset[Formula]) -> _Table:
             produced[g] = produced.get(g, 0) + 1
         if blockable:
             targeted.update(adds)
-    clashing = {h for g in produced for h in clash[g]}
 
     isolated: _Isolated = {}
     for _, adds, blockable in live_rules:
         if not blockable:
             for g in adds:
-                if not (isinstance(g, Falsum) or g in targeted or g in clashing):
+                if g not in targeted:
                     isolated[g] = (g,)
         else:
             a, b = adds
-            if a is not b and produced[a] == produced[b] == 1 and not (
-                a in clashing or b in clashing
-            ):
+            if a is not b and produced[a] == produced[b] == 1:
                 isolated[a] = adds
     return rules, clash, isolated
 
@@ -178,13 +186,14 @@ def _branches(
     conclusion stays pending until it is added, and a fork stays open
     until one of its targets is added, which only the fork does; so every
     finished branch below the set holds that conclusion or a target of
-    that fork.  Adding it blocks no other live rule and clashes with no
-    live conclusion, so each run to the branch remains a run when that
-    move is taken first.  The skipped siblings thus reach no finished
-    branch that the kept ones do not.  The graph is acyclic and the
-    search yields each finished branch where it first meets it, so the
-    family and its order are those of the search that pushes every
-    move; only fewer partial branches are visited.
+    that fork.  Adding it blocks no other live rule, and it clashes with
+    no formula of the branch, which is clash-free and holds it; so each
+    run to the branch remains a run when that move is taken first, and no
+    clash condition is needed.  The skipped siblings thus reach no
+    finished branch that the kept ones do not.  The graph is acyclic and
+    the search yields each finished branch where it first meets it, so the
+    family and its order are those of the search that pushes every move;
+    only fewer partial branches are visited.
     """
     rules, clash, isolated = table
     if any(_conflicts(seed, f, clash) for f in seed):
@@ -207,35 +216,56 @@ def _branches(
         stack.extend(reversed(successors))
 
 
-def saturations(seed: Iterable[Formula]) -> Iterator[Saturation]:
+def _seed_table(
+    seed: frozenset[Formula], tables: Optional[Tables]
+) -> tuple[frozenset[Formula], _Table]:
+    """The seed's closure and table, built on the first request in tables."""
+    if tables is None:
+        tables = {}
+    got = tables.get(seed)
+    if got is None:
+        closure = csf(seed)
+        got = tables[seed] = closure, _table(seed, closure)
+    return got
+
+
+def saturations(
+    seed: Iterable[Formula], tables: Optional[Tables] = None
+) -> Iterator[Saturation]:
     """Enumerate every saturation of the seed, each exactly once.
 
     The yield order is deterministic.  Yields nothing when the seed is
-    classically inconsistent.
+    classically inconsistent.  tables, when given, is the caller's
+    per-solve `Tables`: the seed's table is read from it, or built and
+    kept there.
     """
     seed = frozenset(seed)
-    for members in _branches(seed, _table(seed, csf(seed))):
+    _, table = _seed_table(seed, tables)
+    for members in _branches(seed, table):
         yield Saturation(members, seed)
 
 
-def saturation_family(seed: frozenset[Formula]) -> tuple[Saturation, ...]:
+def saturation_family(
+    seed: frozenset[Formula], tables: Optional[Tables] = None
+) -> tuple[Saturation, ...]:
     """Every saturation of the seed, in the order saturations() yields them.
 
-    Nothing is cached across calls; the kdeab search keeps its own
-    per-solve memo of satisfiable member sets and window continuations.
+    The family is enumerated on every call; only the seed's table is
+    shared, through tables, across the calls of one solve.
     """
-    return tuple(saturations(seed))
+    return tuple(saturations(seed, tables))
 
 
-def saturation_test(seed: Iterable[Formula]) -> Callable[[Iterable[Formula]], bool]:
+def saturation_test(
+    seed: Iterable[Formula], tables: Optional[Tables] = None
+) -> Callable[[Iterable[Formula]], bool]:
     """`is_saturation_of(candidate, seed)` as a function of the candidate.
 
-    The seed's closure and rule table are built once, here, for all the
-    candidates tested against the same seed.
+    The seed's closure and rule table are read from tables, or built
+    once, here, for all the candidates tested against the same seed.
     """
     seed = frozenset(seed)
-    closure = csf(seed)
-    table = _table(seed, closure)
+    closure, table = _seed_table(seed, tables)
 
     def test(candidate: Iterable[Formula]) -> bool:
         candidate = frozenset(candidate)

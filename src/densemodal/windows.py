@@ -19,10 +19,16 @@ never materializes one because a repeated window lets the chain loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .formula import Formula, MOD_A, MOD_B, box_inverse, render, set_degree, sorted_formulas
-from .saturation import Saturation, is_saturation_of, saturation_family, saturation_test
+from .saturation import (
+    Saturation,
+    Tables,
+    is_saturation_of,
+    saturation_family,
+    saturation_test,
+)
 
 
 @dataclass(frozen=True)
@@ -46,13 +52,18 @@ class Window:
         return self.parts[0]
 
 
-def initial_windows(anchor: Saturation, body: Formula) -> Iterator[Window]:
+def initial_windows(
+    anchor: Saturation, body: Formula, tables: Optional[Tables] = None
+) -> Iterator[Window]:
     """All degree(anchor)-windows whose first part carries the diamond body.
 
     Parts are chosen from the right end leftwards, because each seed depends
     on the part to its right.  An empty stream means the diamond cannot be
-    satisfied from this anchor.
+    satisfied from this anchor.  tables is the solve's seed tables (see
+    `saturation.Tables`); without it, this call keeps its own.
     """
+    if tables is None:
+        tables = {}
     k = set_degree(anchor.members)
     if k < 1:
         raise ValueError("windows only exist for anchors of degree >= 1")
@@ -68,41 +79,40 @@ def initial_windows(anchor: Saturation, body: Formula) -> Iterator[Window]:
             seed = boxa | box_inverse(suffix[0], MOD_B)
             if i == 0:
                 seed = seed | {body}
-        for cand in saturation_family(frozenset(seed)):
+        for cand in saturation_family(frozenset(seed), tables):
             yield from choose(i - 1, (cand.members,) + suffix)
 
     yield from choose(k, ())
 
 
-def continuations(window: Window) -> Iterator[Window]:
+def continuations(window: Window, tables: Optional[Tables] = None) -> Iterator[Window]:
     """All one-step extensions of a window.
 
     Each candidate part must lie in the saturation family of the old
     neighbour part plus the b-box bodies of the new part to its right, and
     must independently satisfy the shifted window condition for the anchor.
+    tables is the solve's seed tables, as for `initial_windows`; every
+    family and membership test below reads its seed's table from it.
     """
+    if tables is None:
+        tables = {}
     anchor = window.anchor
     k = window.k
     boxa = box_inverse(anchor.members, MOD_A)
-    # One membership test per shifted seed, shared by every candidate and
-    # every suffix that asks for it.
-    tests: dict[frozenset[Formula], Callable[[frozenset[Formula]], bool]] = {}
 
     def choose(j: int, suffix: tuple[frozenset[Formula], ...]) -> Iterator[Window]:
         if j == 0:
             yield Window(anchor, suffix)
             return
         if j == k + 1:
-            for cand in saturation_family(frozenset(boxa)):
+            for cand in saturation_family(frozenset(boxa), tables):
                 yield from choose(j - 1, (cand.members,) + suffix)
             return
         boxb_next = box_inverse(suffix[0], MOD_B)
         chain_seed = frozenset(boxb_next | window.parts[j])
         shifted_seed = boxa | boxb_next
-        in_shifted = tests.get(shifted_seed)
-        if in_shifted is None:
-            in_shifted = tests[shifted_seed] = saturation_test(shifted_seed)
-        for cand in saturation_family(chain_seed):
+        in_shifted = saturation_test(shifted_seed, tables)
+        for cand in saturation_family(chain_seed, tables):
             if in_shifted(cand.members):
                 yield from choose(j - 1, (cand.members,) + suffix)
 

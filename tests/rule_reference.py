@@ -19,7 +19,9 @@ tuples, which `frame_model` built from the profile frame and
 form.  The saturation search used to re-sort a state's members
 and build fresh `Not` partners on every visit; it now reads a table built
 once per seed.  `_pending`, `_conflicts` and `_branches` below are the
-per-visit form it replaced.  The saturation module also used to test
+per-visit form it replaced.  Its table's isolated rules used to be
+limited by clash and falsum conditions the reordering argument does not
+need; `table` below keeps them.  The saturation module also used to test
 clashes with a `_clashes` of its own beside its clash table; it now reads
 the table alone, and `_clashes` below is a copy of the one it dropped, so
 that this reference shares nothing with the module it checks.  `csf` and
@@ -372,6 +374,63 @@ def saturation_family(seed):
     if _clashes(seed):
         return []
     return list(_branches(seed))
+
+
+def table(seed, closure):
+    """The rule table with the isolation conditions the search first had.
+
+    Rules and clashes as the package builds them.  A conjunction's or
+    double negation's conclusion g was isolated only if g is not falsum,
+    no live disjunction rule targets g and no live conclusion clashes
+    with g; a fork only if its two targets are distinct, added by no other
+    live rule and clash with no live conclusion.
+    """
+    negation = {f.child: f for f in closure if isinstance(f, Not)}
+    rules = []
+    clash = {}
+    for f in sorted(closure, key=sort_key):
+        partners = (f.child,) if isinstance(f, Not) else ()
+        clash[f] = partners + ((negation[f],) if f in negation else ())
+        if isinstance(f, And):
+            rules.append((f, (f.left, f.right), False))
+        elif isinstance(f, Not):
+            c = f.child
+            if isinstance(c, Not):
+                rules.append((f, (c.child,), False))
+            elif isinstance(c, And):
+                rules.append((f, (negation[c.left], negation[c.right]), True))
+
+    adds_of = {f: adds for f, adds, _ in rules}
+    stack = [f for f in seed if f in adds_of]
+    live = set(stack)
+    while stack:
+        for g in adds_of[stack.pop()]:
+            if g in adds_of and g not in live:
+                live.add(g)
+                stack.append(g)
+    live_rules = [rule for rule in rules if rule[0] in live]
+    produced = {}
+    targeted = set()
+    for _, adds, blockable in live_rules:
+        for g in adds:
+            produced[g] = produced.get(g, 0) + 1
+        if blockable:
+            targeted.update(adds)
+    clashing = {h for g in produced for h in clash[g]}
+
+    isolated = {}
+    for _, adds, blockable in live_rules:
+        if not blockable:
+            for g in adds:
+                if not (isinstance(g, Falsum) or g in targeted or g in clashing):
+                    isolated[g] = (g,)
+        else:
+            a, b = adds
+            if a is not b and produced[a] == produced[b] == 1 and not (
+                a in clashing or b in clashing
+            ):
+                isolated[a] = adds
+    return rules, clash, isolated
 
 
 _TOKEN_RE = re.compile(

@@ -67,8 +67,8 @@ def continuation_audit():
     real = windows_mod.continuations
     audit = {"checked": 0, "violations": 0}
 
-    def checking(window):
-        for cont in real(window):
+    def checking(window, *tables):
+        for cont in real(window, *tables):
             merged = (window.parts[0],) + cont.parts
             audit["checked"] += 1
             if not windows_mod.is_window(merged, window.anchor, window.seed_extra):

@@ -389,6 +389,21 @@ class TestDeepNesting:
         stats = {"max_depth": 0, "saturations": saturations, "windows": 0}
         assert (code, out, err) == (0, f"{verdict}\n{json.dumps(stats)}\n", "")
 
+    @pytest.mark.parametrize(
+        "mode, verdict, saturations",
+        [("valid", "INVALID", 1), ("sat", "SAT", MAX_DEPTH)],
+    )
+    def test_kdeab_answers_the_repeated_atom_chain(self, capsys, mode, verdict, saturations):
+        # p | p | ... | p sits at MAX_DEPTH.  Sorting its closure by nested
+        # sort keys, which compare in time quadratic in depth, took 6-7 s.
+        chain = NESTINGS["disjunction"](MAX_DEPTH)
+        start = time.process_time()
+        code, out, err = run(capsys, "solve", "--logic", "kdeab", "--mode", mode, "--stats", chain)
+        elapsed = time.process_time() - start
+        stats = {"max_depth": 0, "saturations": saturations, "windows": 0}
+        assert (code, out, err) == (0, f"{verdict}\n{json.dumps(stats)}\n", "")
+        assert elapsed < 2.0, f"{elapsed:.2f} s of CPU"
+
 
 def parent_solve_kde(mode, text):
     """The CLI's kde path as it was composed before `kde_solve`.

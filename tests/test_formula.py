@@ -264,7 +264,32 @@ class TestAllFormulas:
 # each node and walks the tree iteratively for the others.
 
 
+def ref_flat_sort_key(phi):
+    """The stored key: the preorder tokens of the tree, one walk per call."""
+    tokens = []
+
+    def walk(f):
+        if isinstance(f, Falsum):
+            tokens.append(0)
+        elif isinstance(f, Atom):
+            tokens.extend((1, f.name))
+        elif isinstance(f, Not):
+            tokens.append(2)
+            walk(f.child)
+        elif isinstance(f, And):
+            tokens.append(3)
+            walk(f.left)
+            walk(f.right)
+        else:
+            tokens.extend((4, f.modality))
+            walk(f.child)
+
+    walk(phi)
+    return tuple(tokens)
+
+
 def ref_sort_key(phi):
+    """The nested key the stored flat key replaced; it orders the same."""
     if isinstance(phi, Falsum):
         return (0,)
     if isinstance(phi, Atom):
@@ -355,7 +380,7 @@ class TestStoredMeasures:
     @pytest.mark.parametrize("modalities", [(MOD_A,), (MOD_A, MOD_B)])
     def test_match_the_recursive_definitions(self, modalities):
         for phi in _corpus(29, modalities):
-            assert sort_key(phi) == ref_sort_key(phi)
+            assert sort_key(phi) == ref_flat_sort_key(phi)
             assert degree(phi) == ref_degree(phi)
             assert size(phi) == ref_size(phi)
             assert atom_names(phi) == ref_atom_names(phi)
@@ -384,6 +409,27 @@ class TestStoredMeasures:
                 assert (f == g) == (ref_sort_key(f) == ref_sort_key(g))
                 assert (f != g) == (not same)
         assert equal_pairs > 400
+
+    def test_flat_keys_order_as_the_nested_keys(self):
+        # The flat key must sort every formula list as the nested one did,
+        # or every enumeration, and so the output, would change order.
+        formulas = all_formulas(6, ("p", "q"), (MOD_A, MOD_B))
+        random.Random(53).shuffle(formulas)
+        by_nested = sorted(formulas, key=ref_sort_key)
+        assert sorted(formulas, key=sort_key) == by_nested
+        for f, g in zip(by_nested, by_nested[1:]):
+            assert sort_key(f) < sort_key(g)
+
+    def test_flat_keys_order_closures_as_the_nested_keys(self):
+        rng = random.Random(59)
+        for _ in range(2000):
+            seed = [
+                random_formula(rng, 12, ["p", "q", "r"], (MOD_A, MOD_B))
+                for _ in range(rng.randint(1, 3))
+            ]
+            closure = list(sf(seed))
+            rng.shuffle(closure)
+            assert sorted(closure, key=sort_key) == sorted(closure, key=ref_sort_key)
 
     def test_formulas_are_never_equal_to_other_types(self):
         assert Atom("p") != "p"

@@ -185,7 +185,7 @@ def chain_graph(monkeypatch, edges):
     succ = {}
     for a, b in edges:
         succ.setdefault(win(a).parts, []).append(win(b))
-    monkeypatch.setattr(windows_mod, "continuations", lambda w: iter(succ.get(w.parts, ())))
+    monkeypatch.setattr(windows_mod, "continuations", lambda w, *_: iter(succ.get(w.parts, ())))
     return win(0)
 
 
@@ -246,7 +246,7 @@ class TestWindowChain:
         # A repetition-free chain of three windows meets a bound of 2 in a
         # full solve: a true bound exceeds the window count, so this raises.
         start = chain_graph(monkeypatch, [(0, 1), (1, 2)])
-        monkeypatch.setattr(windows_mod, "initial_windows", lambda anchor, body: iter([start]))
+        monkeypatch.setattr(windows_mod, "initial_windows", lambda anchor, body, *_: iter([start]))
         monkeypatch.setattr(kdeab_mod, "counter_bound", lambda members: 2)
         assert sat_saturation(WORKED).verdict == UNSAT
         with pytest.raises(InvariantError, match="counter bound"):

@@ -18,7 +18,7 @@ from densemodal import (
     set_size,
     sort_key,
 )
-from densemodal import saturation
+from densemodal import kdeab, saturation, windows
 from densemodal.saturation import (
     is_saturation_of,
     saturation_family,
@@ -295,6 +295,65 @@ class TestReference:
         assert built <= bound, f"{built} Not nodes built"
 
 
+def _ladder(n):
+    return " & ".join(f"(p{i} | q{i})" for i in range(n))
+
+
+class TestIsolationReference:
+    """`_table` without the clash and falsum conditions on isolated rules,
+    against `rule_reference.table`, which keeps them.  Both tables must
+    hold the same rules and clashes, the new isolated map must contain
+    the reference's, and the one search must yield the same family in the
+    same order from either table."""
+
+    @staticmethod
+    def _check(seed):
+        closure = csf(seed)
+        table = saturation._table(seed, closure)
+        expected = reference.table(seed, closure)
+        assert table[:2] == expected[:2], seed
+        assert expected[2].items() <= table[2].items(), seed
+        family = list(saturation._branches(seed, table))
+        assert family == list(saturation._branches(seed, expected)), seed
+        return len(table[2]) > len(expected[2])
+
+    def test_acceptance_corpora(self, monkeypatch):
+        # Every seed whose table the solves of the kdeab corpus (criteria
+        # 3, 8, 9) and of the kde corpus's formulas (criteria 2, 4, 5)
+        # build.
+        seeds = set()
+        build = saturation._table
+
+        def recording(seed, closure):
+            seeds.add(seed)
+            return build(seed, closure)
+
+        monkeypatch.setattr(saturation, "_table", recording)
+        for phi in all_formulas(6, ["p"], (MOD_A, MOD_B)) + all_formulas(7, ["p"]):
+            sat_set({phi})
+        monkeypatch.undo()
+        assert len(seeds) > 4000
+        gained = sum(self._check(seed) for seed in seeds)
+        assert gained > 0
+
+    def test_disjunction_ladders(self):
+        for n in range(1, 8):
+            for text in (_ladder(n), _ladder(n) + " & <b>false"):
+                self._check(frozenset({parse(text, "bimodal")}))
+
+    def test_random_seeds(self):
+        rng = random.Random(71)
+        gained = 0
+        for _ in range(2000):
+            gained += self._check(
+                frozenset(
+                    random_formula(rng, rng.randint(4, 20), ["p", "q", "r"], (MOD_A, MOD_B))
+                    for _ in range(rng.randint(1, 3))
+                )
+            )
+        assert gained > 100, gained
+
+
 class TestWork:
     """Visited sets, counted as calls of `_pending`, one per set.
 
@@ -326,6 +385,58 @@ class TestWork:
         assert result.verdict == SAT
         assert result.stats["saturations"] == 1
         assert visits <= 2 * len(csf(seed)), visits
+
+    def test_one_table_per_seed_per_solve(self, monkeypatch):
+        # Every family and membership test of one solve reads its seed's
+        # table from the solve's dict: each distinct seed's table is built
+        # once, though the solve asks for the tables many more times.
+        built = []
+        build = saturation._table
+
+        def recording(seed, closure):
+            built.append(seed)
+            return build(seed, closure)
+
+        requests = 0
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                nonlocal requests
+                requests += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        monkeypatch.setattr(saturation, "_table", recording)
+        counting(kdeab, "saturation_family")
+        counting(windows, "saturation_family")
+        counting(windows, "saturation_test")
+        result = sat_set({parse("<a>(p & q) & [a]<b>r", "bimodal")})
+        assert result.stats == {"max_depth": 2, "saturations": 3, "windows": 3}
+        assert len(built) == len(set(built)) == 4
+        assert requests == 16
+
+    def test_isolation_a_clash_used_to_block(self, monkeypatch):
+        # The first branch of each ~pi | si, ~~pi, adds ~pi, which clashes
+        # with the conclusion pi of pi & qi.  The clash conditions kept
+        # both conclusions from isolation, and the search walked the
+        # interleavings of the moves they spare: 13,201 sets.
+        text = " & ".join(f"(p{i} & q{i}) & (~p{i} | s{i})" for i in range(3))
+        seed = frozenset({parse(text, "bimodal")})
+        closure = csf(seed)
+        old = reference.table(seed, closure)
+        visits_before, family_before = self._visits(
+            monkeypatch, lambda: list(saturation._branches(seed, old))
+        )
+        monkeypatch.undo()
+        visits, family = self._visits(
+            monkeypatch, lambda: [s.members for s in saturation_family(seed)]
+        )
+        assert family == family_before and len(family) == 1
+        assert visits_before == 13201
+        assert visits <= 2 * len(closure) < visits_before, visits
 
     def test_six_clause_ladder_visits_few_sets(self, monkeypatch):
         # 64 saturations; every interleaving is 48,210 sets.

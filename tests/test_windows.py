@@ -174,8 +174,8 @@ class TestShiftedSeedTest:
         real = windows_module.continuations
         yielded = []
 
-        def recording(window):
-            for cont in real(window):
+        def recording(window, *tables):
+            for cont in real(window, *tables):
                 yielded.append(cont)
                 yield cont
 
