@@ -19,6 +19,10 @@ search has walked them all.  Full solves take the budget from
 counter_bound, which exceeds the number of distinct windows, so there the
 two rules accept the same chains with the same lasso witness.
 
+A solve holds its memo, its seed tables and, per chain search in progress,
+one frame per window on the current chain, whose continuations it reads
+as a stream: one at a time, never kept past the frame.
+
 Every SAT verdict is converted into an explicit finite model (worlds are
 the distinct saturations the accepted search touched, chains close their
 loops with b-edges) and verified against the model checker before being
@@ -127,8 +131,8 @@ class Trace:
     """Accepted search tree: one node per satisfiable saturation."""
 
     members: frozenset[Formula]
-    b_children: list[tuple[Formula, "Trace"]] = field(default_factory=list)
-    a_chains: list[tuple[Formula, "ChainWitness"]] = field(default_factory=list)
+    b_children: list["Trace"] = field(default_factory=list)
+    a_chains: list["ChainWitness"] = field(default_factory=list)
 
 
 @dataclass
@@ -151,12 +155,15 @@ def _diamond_bodies(members: frozenset[Formula], modality: str) -> list[Formula]
 
 
 class _Search:
+    """One solve.  Its memo, seed tables and counters live as long as the
+    solve; each chain search in progress adds one frame per window on its
+    current chain (see lasso_chain)."""
+
     def __init__(self, policy: BoundPolicy, memo: bool = True):
         self.policy = policy
         self.memo_enabled = memo
         self.memo: dict[frozenset[Formula], Optional[Trace]] = {}
         self.stats = SatStats()
-        self._cont_cache: dict[tuple, tuple] = {}
         # Each seed's closure and rule table, built once per solve.
         self.tables: Tables = {}
 
@@ -166,14 +173,6 @@ class _Search:
         fam = saturation_family(seed, self.tables)
         self.stats.saturations += len(fam)
         return fam
-
-    def continuations_of(self, window: _windows.Window) -> tuple:
-        key = (window.anchor.members, window.parts)
-        got = self._cont_cache.get(key)
-        if got is None:
-            got = tuple(_windows.continuations(window, self.tables))
-            self._cont_cache[key] = got
-        return got
 
     # -- main recursion ----------------------------------------------------
 
@@ -193,7 +192,7 @@ class _Search:
             if child is None:
                 node = None
                 break
-            node.b_children.append((body, child))
+            node.b_children.append(child)
         if node is not None:
             anchor = Saturation(members, members)
             for body in _diamond_bodies(members, MOD_A):
@@ -211,7 +210,7 @@ class _Search:
                 if chain is None:
                     node = None
                     break
-                node.a_chains.append((body, chain))
+                node.a_chains.append(chain)
         if self.memo_enabled:
             self.memo[members] = node
         return node
@@ -223,6 +222,9 @@ class _Search:
     ) -> tuple[Optional[ChainWitness], int]:
         """Accept on the first window repeated along the current chain.
 
+        The stack holds one frame per window on the current chain: its
+        parts, its head's trace and its live stream of continuations, from
+        which the search draws the next window only when it needs one.
         Also returns how many windows the longest chain walked had; without
         a lasso the search has walked every chain, so that is the longest
         chain from start.
@@ -231,29 +233,22 @@ class _Search:
         if first is None:
             return None, 0
         longest = 1
-        wins = [start]
-        heads = [first]
-        iters = [iter(self.continuations_of(start))]
+        stack = [(start.parts, first, _windows.continuations(start, self.tables))]
         seen = {start.parts: 0}
-        while wins:
-            nxt = next(iters[-1], None)
+        while stack:
+            nxt = next(stack[-1][2], None)
             if nxt is None:
-                del seen[wins[-1].parts]
-                wins.pop()
-                heads.pop()
-                iters.pop()
+                del seen[stack.pop()[0]]
                 continue
             self.stats.windows += 1
             node = self.sat_members(nxt.head, depth + 1)
             if node is None:
                 continue
             if nxt.parts in seen:
-                return ChainWitness(list(heads), seen[nxt.parts]), longest
-            seen[nxt.parts] = len(wins)
-            wins.append(nxt)
-            heads.append(node)
-            iters.append(iter(self.continuations_of(nxt)))
-            longest = max(longest, len(wins))
+                return ChainWitness([head for _, head, _ in stack], seen[nxt.parts]), longest
+            seen[nxt.parts] = len(stack)
+            stack.append((nxt.parts, node, _windows.continuations(nxt, self.tables)))
+            longest = max(longest, len(stack))
         return None, longest
 
 
@@ -284,11 +279,11 @@ def extract_model(trace: Trace) -> KripkeModel:
         order.append(node.members)
         succ_a.append(0)
         succ_b.append(0)
-        for _, child in node.b_children:
+        for child in node.b_children:
             # The visit may add edges to this world's masks: finish it first.
             cid = world(child)
             succ_b[wid] |= 1 << cid
-        for _, chain in node.a_chains:
+        for chain in node.a_chains:
             head_ids = [world(h) for h in chain.heads]
             count = len(head_ids)
             for i, hid in enumerate(head_ids):

@@ -35,3 +35,14 @@ NESTINGS = {
     "disjunction": lambda d: " | ".join(["p"] * (d + 1)),
     "implication": lambda d: " -> ".join(["p"] * (d + 1)),
 }
+
+
+# Bimodal chains of modal operators nested d levels deep; every operator
+# counts one level, so the alternating chain takes an even d.
+MODAL_CHAINS = {
+    "[a]": lambda d: "[a]" * d + "p",
+    "<a>": lambda d: "<a>" * d + "p",
+    "[b]": lambda d: "[b]" * d + "p",
+    "<b>": lambda d: "<b>" * d + "p",
+    "<a><b>": lambda d: "<a><b>" * (d // 2) + "p",
+}

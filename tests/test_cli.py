@@ -30,7 +30,7 @@ from densemodal import (
 from densemodal.cli import main, run_corpus
 from densemodal.formula import MAX_DEPTH
 from densemodal.oracle import ModelTables
-from conftest import NESTINGS, random_formula
+from conftest import MODAL_CHAINS, NESTINGS, random_formula
 
 
 def run(capsys, *argv):
@@ -403,6 +403,30 @@ class TestDeepNesting:
         stats = {"max_depth": 0, "saturations": saturations, "windows": 0}
         assert (code, out, err) == (0, f"{verdict}\n{json.dumps(stats)}\n", "")
         assert elapsed < 2.0, f"{elapsed:.2f} s of CPU"
+
+    # Verdict, max_depth, saturations and windows of each chain at MAX_DEPTH.
+    # A chain of 176 <a> keeps 176 window chains open at once, one per
+    # level, each reading its continuations as a stream.
+    MODAL_CHAIN_ANSWERS = {
+        ("[a]", "sat"): ("SAT", 0, 1, 0),
+        ("[a]", "valid"): ("INVALID", MAX_DEPTH, 1, 3 * MAX_DEPTH),
+        ("<a>", "sat"): ("SAT", MAX_DEPTH, 1, 3 * MAX_DEPTH),
+        ("<a>", "valid"): ("INVALID", 0, 1, 0),
+        ("[b]", "sat"): ("SAT", 0, 1, 0),
+        ("[b]", "valid"): ("INVALID", MAX_DEPTH, MAX_DEPTH + 1, 0),
+        ("<b>", "sat"): ("SAT", MAX_DEPTH, MAX_DEPTH + 1, 0),
+        ("<b>", "valid"): ("INVALID", 0, 1, 0),
+        ("<a><b>", "sat"): ("SAT", MAX_DEPTH, MAX_DEPTH // 2 + 1, 3 * MAX_DEPTH // 2),
+        ("<a><b>", "valid"): ("INVALID", 0, 1, 0),
+    }
+
+    @pytest.mark.parametrize("chain, mode", sorted(MODAL_CHAIN_ANSWERS))
+    def test_kdeab_answers_modal_chains(self, capsys, chain, mode):
+        verdict, max_depth, saturations, windows = self.MODAL_CHAIN_ANSWERS[chain, mode]
+        text = MODAL_CHAINS[chain](MAX_DEPTH)
+        code, out, err = run(capsys, "solve", "--logic", "kdeab", "--mode", mode, "--stats", text)
+        stats = {"max_depth": max_depth, "saturations": saturations, "windows": windows}
+        assert (code, out, err) == (0, f"{verdict}\n{json.dumps(stats)}\n", "")
 
 
 def parent_solve_kde(mode, text):

@@ -33,10 +33,11 @@ from densemodal import (
     set_degree,
 )
 from densemodal.errors import InvariantError
+from densemodal.formula import MAX_DEPTH
 from densemodal.kdeab import _diamond_bodies
 from densemodal.saturation import saturation_family
-from conftest import random_formula
-from counter_reference import reference_sat_set, reference_window_chain
+from conftest import MODAL_CHAINS, random_formula
+from counter_reference import cached_sat_set, reference_sat_set, reference_window_chain
 import rule_reference
 
 P, Q = Atom("p"), Atom("q")
@@ -252,6 +253,28 @@ class TestWindowChain:
         with pytest.raises(InvariantError, match="counter bound"):
             sat_saturation(WORKED, BoundPolicy(COUNTER))
 
+    def test_a_lasso_draws_one_continuation_from_a_longer_stream(self, monkeypatch):
+        # The initial window of <a>p & [a](p | q) has two continuations, and
+        # the first repeats it, closing the lasso.  Each window's
+        # continuations are read as a stream, so the search draws only that
+        # one; a search that materializes the stream draws both.
+        real = windows_mod.continuations
+        streams = []
+
+        def counting(window, *tables):
+            drawn = [window, 0]
+            streams.append(drawn)
+            for cont in real(window, *tables):
+                drawn[1] += 1
+                yield cont
+
+        monkeypatch.setattr(windows_mod, "continuations", counting)
+        result = sat_set({bi("<a>p & [a](p | q)")})
+        assert result.verdict == SAT and result.stats["windows"] == 2
+        [(window, drawn)] = streams
+        assert len(list(real(window))) == 2
+        assert drawn == 1
+
     def test_unsat_head_fails(self):
         # Anchor for ~(…axiom…): the only window demands p and ~p together.
         phi = bi("~([a][b]p -> [a]p)")
@@ -302,6 +325,48 @@ class TestBoundAgreement:
         start = next(iter(initial_windows(WORKED, Not(P))))
         with pytest.raises(ValueError, match="negative"):
             sat_window_chain(start, BoundPolicy(COUNTER), budget=-1)
+
+
+class TestStreamedContinuations:
+    """sat_set, which reads each window's continuations as a stream, against
+    the former search, which cached them whole per window (cached_sat_set in
+    tests/counter_reference.py): same verdict, witness and stats, in both
+    bound modes."""
+
+    @staticmethod
+    def agree(phi) -> int:
+        """Compare both searches on phi; return the windows it entered."""
+        for mode in (LASSO, COUNTER):
+            got = sat_set({phi}, BoundPolicy(mode))
+            want = cached_sat_set({phi}, BoundPolicy(mode))
+            assert got.verdict == want.verdict, (mode, phi)
+            assert got.witness == want.witness, (mode, phi)
+            assert got.stats == want.stats, (mode, phi)
+        return got.stats["windows"]
+
+    def test_acceptance_corpus(self):
+        for phi in all_formulas(6, ["p"], modalities=(MOD_A, MOD_B)):
+            self.agree(phi)
+
+    def test_disjunction_ladders(self):
+        for n in range(1, 8):
+            ladder = " & ".join(f"(p{i} | q{i})" for i in range(n))
+            for text in (ladder, ladder + " & <b>false"):
+                self.agree(bi(text))
+
+    @pytest.mark.parametrize("chain", sorted(MODAL_CHAINS))
+    def test_chains_at_max_depth(self, chain):
+        self.agree(bi(MODAL_CHAINS[chain](MAX_DEPTH)))
+
+    def test_random_formulas(self):
+        # Few random formulas reach an a-diamond, hence the floor on how
+        # many entered a window chain (78 of these do).
+        rng = random.Random(149)
+        chained = 0
+        for _ in range(2000):
+            phi = random_formula(rng, rng.choice((8, 12, 16)), ["p", "q"], (MOD_A, MOD_B))
+            chained += self.agree(phi) > 0
+        assert chained >= 50
 
 
 class TestMemory:
