@@ -35,16 +35,12 @@ from .formula import (
 )
 from .saturation import Saturation, is_saturation_of, saturation_family, saturations
 from .kdeab import (
-    BoundPolicy,
-    COUNTER,
     ChainWitness,
-    LASSO,
     SAT,
     SatResult,
     SatStats,
     Trace,
     UNSAT,
-    counter_bound,
     extract_model,
     sat_saturation,
     sat_set,

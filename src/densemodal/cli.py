@@ -13,6 +13,11 @@ with exit 64: with --stats --model, 8, 10 and 12 free bits measured 0.2 s,
 1.7-1.9 s and 37 s of wall time with 25 MB, 120 MB and 1.1 GB peak memory
 on a 2-vCPU host, and each further bit quadruples the work.
 
+solve --logic kdeab accepts a window chain at its first repeated window.
+Fewer than 2**(M*(d+1)) windows exist over an anchor with M closure
+formulas and degree d, so every chain search ends; the paper's pigeonhole
+rule, which waits for a chain that long, accepts the same chains.
+
 Both logics take one solve path: valid mode asks the solver for the
 satisfiability of the negation, so INVALID carries the negation's witness
 as its countermodel.  The solver model-checks and frame-checks every
@@ -46,7 +51,7 @@ from .formula import (
     render,
 )
 from .kde import kde_sat, kde_solve
-from .kdeab import BoundPolicy, SAT, sat_set
+from .kdeab import SAT, sat_set
 from .oracle import KripkeModel, bounded_search, model_json_text, search_is_bimodal
 # cli does not call these; densebench/layers.py wraps them as cli call sites.
 from .kde import build_index, counter_model, fixpoint  # noqa: F401
@@ -78,10 +83,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--logic", choices=("kde", "kdeab"), required=True)
     solve.add_argument("--mode", choices=("sat", "valid"), required=True)
     solve.add_argument("--model", metavar="PATH", help="write the witness or countermodel JSON here")
-    solve.add_argument(
-        "--bound", choices=("lasso", "counter"), default="lasso",
-        help="kdeab chain stop: a repeated window or a pigeonhole count; same answers",
-    )
     solve.add_argument(
         "--no-memo", action="store_true",
         help="kdeab: re-solve repeated saturations; same verdict, slower",
@@ -136,7 +137,7 @@ def _cmd_solve(args) -> int:
     if args.logic == "kde":
         result = kde_sat(query)
     else:
-        result = sat_set({query}, BoundPolicy(args.bound), memo=not args.no_memo)
+        result = sat_set({query}, memo=not args.no_memo)
     if args.mode == "sat":
         print(result.verdict)
     else:

@@ -9,15 +9,15 @@ chain would witness the diamond outright; because windows over one anchor
 form a finite space, a chain that repeats a window can be looped instead.
 
 One depth-first search decides each chain: it accepts on the first window
-repeated along the current chain (a lasso) and otherwise reports how many
-windows its longest chain had.  Both stopping rules read that one search.
-Lasso mode accepts on a lasso.  Counter mode, the paper's pigeonhole rule,
-accepts once a chain of budget many windows exists, which holds exactly
-when there is a lasso (it unrolls to any length) or the longest chain
-reaches the budget: without a lasso every chain is repetition-free, and the
-search has walked them all.  Full solves take the budget from
-counter_bound, which exceeds the number of distinct windows, so there the
-two rules accept the same chains with the same lasso witness.
+repeated along the current chain (a lasso), which the witness loops.  The
+search terminates because windows over one anchor are finitely many: each
+of a window's d+1 parts is a clash-free subset of the anchor's closure of
+M formulas, so there are fewer than 2**(M*(d+1)) of them.  That count is
+the paper's pigeonhole rule, which accepts a chain once that many windows
+with satisfiable heads line up; such a chain must repeat a window, and a
+lasso unrolls to any length, so both rules accept the same chains.  The
+test-only counter walk (tests/counter_reference.py) keeps the paper's rule
+as the reference this search is checked against.
 
 A solve holds its memo, its seed tables and, per chain search in progress,
 one frame per window on the current chain, whose continuations it reads
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import InvariantError
 from .formula import (
     Atom,
     Box,
@@ -45,8 +44,6 @@ from .formula import (
     MOD_B,
     Not,
     box_inverse,
-    set_degree,
-    sf,
     sort_key,
 )
 from .oracle import WEAKLY_DENSE, KripkeModel, verify
@@ -57,40 +54,6 @@ from . import windows as _windows
 
 SAT = "SAT"
 UNSAT = "UNSAT"
-
-LASSO = "lasso"
-COUNTER = "counter"
-
-
-def counter_bound(members: Iterable[Formula]) -> int:
-    """Counter-mode budget for an anchor: 2**(M*(d+1)).
-
-    M counts sf(anchor) and d is the anchor's degree.  Each of a
-    window's d+1 parts is a clash-free subset of that universe, and the
-    universe holds the anchor's negated a-box beside its box, so there are
-    fewer than 2**M choices per part: the bound exceeds the number of
-    distinct windows, and no repetition-free chain reaches it.
-    """
-    members = frozenset(members)
-    m = len(sf(members))
-    return 2 ** (m * (set_degree(members) + 1))
-
-
-@dataclass(frozen=True)
-class BoundPolicy:
-    """How a window chain is allowed to stop.
-
-    Both modes read the same lasso search (see the module docstring).
-    LASSO accepts on a repeated window.  COUNTER accepts once budget many
-    windows with satisfiable heads line up; with counter_bound of the
-    anchor as the budget, that accepts the same chains as LASSO.
-    """
-
-    mode: str = LASSO
-
-    def __post_init__(self) -> None:
-        if self.mode not in (LASSO, COUNTER):
-            raise ValueError(f"unknown bound mode {self.mode!r}")
 
 
 @dataclass
@@ -159,8 +122,7 @@ class _Search:
     solve; each chain search in progress adds one frame per window on its
     current chain (see lasso_chain)."""
 
-    def __init__(self, policy: BoundPolicy, memo: bool = True):
-        self.policy = policy
+    def __init__(self, memo: bool = True):
         self.memo_enabled = memo
         self.memo: dict[frozenset[Formula], Optional[Trace]] = {}
         self.stats = SatStats()
@@ -199,14 +161,9 @@ class _Search:
                 chain = None
                 for start in _windows.initial_windows(anchor, Not(body), self.tables):
                     self.stats.windows += 1
-                    chain, longest = self.lasso_chain(start, depth)
+                    chain = self.lasso_chain(start, depth)
                     if chain is not None:
                         break
-                    if self.policy.mode == COUNTER and longest >= counter_bound(members):
-                        raise InvariantError(
-                            "a repetition-free window chain reached the counter bound; "
-                            "the bound is below the true window count"
-                        )
                 if chain is None:
                     node = None
                     break
@@ -217,22 +174,18 @@ class _Search:
 
     # -- window chains -----------------------------------------------------
 
-    def lasso_chain(
-        self, start: _windows.Window, depth: int
-    ) -> tuple[Optional[ChainWitness], int]:
+    def lasso_chain(self, start: _windows.Window, depth: int) -> Optional[ChainWitness]:
         """Accept on the first window repeated along the current chain.
 
         The stack holds one frame per window on the current chain: its
         parts, its head's trace and its live stream of continuations, from
         which the search draws the next window only when it needs one.
-        Also returns how many windows the longest chain walked had; without
-        a lasso the search has walked every chain, so that is the longest
-        chain from start.
+        Returns None once it has walked every repetition-free chain from
+        start, of which there are finitely many (see the module docstring).
         """
         first = self.sat_members(start.head, depth + 1)
         if first is None:
-            return None, 0
-        longest = 1
+            return None
         stack = [(start.parts, first, _windows.continuations(start, self.tables))]
         seen = {start.parts: 0}
         while stack:
@@ -245,11 +198,10 @@ class _Search:
             if node is None:
                 continue
             if nxt.parts in seen:
-                return ChainWitness([head for _, head, _ in stack], seen[nxt.parts]), longest
+                return ChainWitness([head for _, head, _ in stack], seen[nxt.parts])
             seen[nxt.parts] = len(stack)
             stack.append((nxt.parts, node, _windows.continuations(nxt, self.tables)))
-            longest = max(longest, len(stack))
-        return None, longest
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -307,18 +259,14 @@ def _verified_witness(trace: Trace, at_root: Iterable[Formula]) -> KripkeModel:
     return model
 
 
-def sat_set(
-    formulas: Iterable[Formula],
-    policy: Optional[BoundPolicy] = None,
-    memo: bool = True,
-) -> SatResult:
+def sat_set(formulas: Iterable[Formula], memo: bool = True) -> SatResult:
     """Satisfiability of a finite bimodal formula set over weakly dense frames.
 
     SAT exactly when some saturation of the set is satisfiable; the verdict
     carries a verified witness model and search statistics.
     """
     targets = frozenset(formulas)
-    search = _Search(policy or BoundPolicy(), memo)
+    search = _Search(memo)
     for cand in search.family(targets):
         trace = search.sat_members(cand.members, 0)
         if trace is not None:
@@ -327,15 +275,11 @@ def sat_set(
     return SatResult(UNSAT, None, search.stats.as_dict())
 
 
-def sat_saturation(
-    saturation: Saturation,
-    policy: Optional[BoundPolicy] = None,
-    memo: bool = True,
-) -> SatResult:
+def sat_saturation(saturation: Saturation, memo: bool = True) -> SatResult:
     """Satisfiability of a single saturation (diamond by diamond)."""
     if not is_saturation_of(saturation.members, saturation.seed):
         raise ValueError("not a valid saturation of its seed")
-    search = _Search(policy or BoundPolicy(), memo)
+    search = _Search(memo)
     trace = search.sat_members(saturation.members, 0)
     if trace is None:
         return SatResult(UNSAT, None, search.stats.as_dict())
@@ -343,27 +287,8 @@ def sat_saturation(
     return SatResult(SAT, model, search.stats.as_dict())
 
 
-def sat_window_chain(
-    window: _windows.Window,
-    policy: Optional[BoundPolicy] = None,
-    memo: bool = True,
-    *,
-    budget: Optional[int] = None,
-) -> bool:
-    """Whether a window chain starting here can be completed.
-
-    Both modes read one lasso search: lasso mode accepts on a lasso,
-    counter mode also when the longest chain reaches the budget, which is
-    exact because without a lasso the search walked every chain.  budget
-    is counter mode's chain length, counter_bound of the anchor unless
-    given; a budget of 0 always accepts, and lasso mode does not read it.
-    """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must not be negative, got {budget}")
-    policy = policy or BoundPolicy()
-    chain, longest = _Search(policy, memo).lasso_chain(window, 0)
-    if chain is not None or policy.mode == LASSO:
-        return chain is not None
-    if budget is None:
-        budget = counter_bound(window.anchor.members)
-    return longest >= budget
+def sat_window_chain(window: _windows.Window, memo: bool = True) -> bool:
+    """Whether a window chain starting here can be completed: whether the
+    lasso search finds a repeated window along a chain of windows with
+    satisfiable heads."""
+    return _Search(memo).lasso_chain(window, 0) is not None

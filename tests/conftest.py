@@ -1,6 +1,6 @@
 import random
 
-from densemodal import And, Atom, Box, FALSUM, MOD_A, Not
+from densemodal import And, Atom, Box, FALSUM, MOD_A, MOD_B, Not, diamond
 
 
 def random_formula(rng: random.Random, budget: int, names, modalities=(MOD_A,), falsum_rate=0.08):
@@ -23,6 +23,23 @@ def random_formula(rng: random.Random, budget: int, names, modalities=(MOD_A,), 
         random_formula(rng, split, names, modalities, falsum_rate),
         random_formula(rng, budget - 1 - split, names, modalities, falsum_rate),
     )
+
+
+def chained_formula(rng: random.Random, budget: int, names):
+    """A random bimodal formula that often reaches a window chain:
+    random_formula conjoined with an a-diamond placed under 0-2 random
+    modal operators.
+
+    random_formula stops at each node with probability 0.35, so it seldom
+    builds the a-diamond a window chain starts from.  budget bounds each
+    random_formula drawn (the conjunct and the diamond's body).
+    """
+    modalities = (MOD_A, MOD_B)
+    planted = diamond(MOD_A, random_formula(rng, budget, names, modalities))
+    for _ in range(rng.randint(0, 2)):
+        wrap = rng.choice((Box, diamond))
+        planted = wrap(rng.choice(modalities), planted)
+    return And(random_formula(rng, budget, names, modalities), planted)
 
 
 # Formula texts nested d levels deep, one per way the parser counts a level.

@@ -1,33 +1,49 @@
-"""Test-only references: the cached lasso search and the former counter walk.
+"""Test-only references: the cached lasso search and the paper's counter walk.
 
 The lasso search used to cache every window's continuations whole, as a
 tuple per window for the rest of the solve; it now reads each window's
 continuations as a stream.  CachedSearch keeps the cached search, and
 cached_sat_set runs it, so differential tests can compare the two.
 
-Counter mode used to run a search of its own.  It walked window chains
-depth first and accepted once budget many windows with satisfiable heads
-lined up; it remembered each failed window under the smallest budget it
-failed at, and folded an accepted chain at its first repeated window.
-Counter mode now reads the lasso search instead.  The differential tests
-compare the two through reference_sat_set and reference_window_chain.
-The counter walk re-enters windows while it walks whole budgets, so it
-reads continuations through CachedSearch's cache.
+The paper stops a window chain by a pigeonhole count: a chain of
+counter_bound(anchor) windows with satisfiable heads must repeat a window.
+The counter walk keeps that rule.  It walks window chains depth first and
+accepts once budget many windows line up; it remembers each failed window
+under the smallest budget it failed at, and folds an accepted chain at its
+first repeated window.  The solver accepts on the first repeated window
+instead (a lasso); the differential tests compare the two through
+reference_sat_set and reference_window_chain.  The counter walk re-enters
+windows while it walks whole budgets, so it reads continuations through
+CachedSearch's cache.
 """
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import densemodal.windows as _windows
-from densemodal import COUNTER, SAT, UNSAT, BoundPolicy, SatResult, counter_bound
+from densemodal import SAT, UNSAT, Formula, SatResult, set_degree, sf
 from densemodal.errors import InvariantError
 from densemodal.kdeab import ChainWitness, Trace, _Search, _verified_witness
+
+
+def counter_bound(members: Iterable[Formula]) -> int:
+    """The paper's chain budget for an anchor: 2**(M*(d+1)).
+
+    M counts sf(anchor) and d is the anchor's degree.  Each of a
+    window's d+1 parts is a clash-free subset of that universe, and the
+    universe holds the anchor's negated a-box beside its box, so there are
+    fewer than 2**M choices per part: the bound exceeds the number of
+    distinct windows, and no repetition-free chain reaches it.
+    """
+    members = frozenset(members)
+    m = len(sf(members))
+    return 2 ** (m * (set_degree(members) + 1))
 
 
 class CachedSearch(_Search):
     """The solver's search with each window's continuations cached whole."""
 
-    def __init__(self, policy: BoundPolicy, memo: bool = True):
-        super().__init__(policy, memo)
+    def __init__(self, memo: bool = True):
+        super().__init__(memo)
         self._cont_cache: dict[tuple, tuple] = {}
 
     def continuations_of(self, window: _windows.Window) -> tuple:
@@ -42,8 +58,7 @@ class CachedSearch(_Search):
         """The former lasso search: _Search.lasso_chain over cached tuples."""
         first = self.sat_members(start.head, depth + 1)
         if first is None:
-            return None, 0
-        longest = 1
+            return None
         wins = [start]
         heads = [first]
         iters = [iter(self.continuations_of(start))]
@@ -61,20 +76,19 @@ class CachedSearch(_Search):
             if node is None:
                 continue
             if nxt.parts in seen:
-                return ChainWitness(list(heads), seen[nxt.parts]), longest
+                return ChainWitness(list(heads), seen[nxt.parts])
             seen[nxt.parts] = len(wins)
             wins.append(nxt)
             heads.append(node)
             iters.append(iter(self.continuations_of(nxt)))
-            longest = max(longest, len(wins))
-        return None, longest
+        return None
 
 
 class CounterSearch(CachedSearch):
     """The solver's search with every window chain run by the counter walk."""
 
     def lasso_chain(self, start, depth):
-        return self.counter_chain(start, counter_bound(start.anchor.members), depth), 0
+        return self.counter_chain(start, counter_bound(start.anchor.members), depth)
 
     def counter_chain(self, start, budget: int, depth: int, fold: bool = True) -> Optional[ChainWitness]:
         """Accept once budget many windows with satisfiable heads line up.
@@ -158,19 +172,19 @@ def _solve(search: _Search, formulas) -> SatResult:
     return SatResult(UNSAT, None, search.stats.as_dict())
 
 
-def cached_sat_set(formulas, policy: Optional[BoundPolicy] = None, memo: bool = True) -> SatResult:
+def cached_sat_set(formulas, memo: bool = True) -> SatResult:
     """sat_set with every window's continuations cached whole."""
-    return _solve(CachedSearch(policy or BoundPolicy(), memo), formulas)
+    return _solve(CachedSearch(memo), formulas)
 
 
 def reference_sat_set(formulas, memo: bool = True) -> SatResult:
-    """sat_set in counter mode, with chains run by the counter walk."""
-    return _solve(CounterSearch(BoundPolicy(COUNTER), memo), formulas)
+    """sat_set with every window chain run by the counter walk."""
+    return _solve(CounterSearch(memo), formulas)
 
 
 def reference_window_chain(window, budget: Optional[int], memo: bool = True) -> bool:
-    """sat_window_chain in counter mode; budget None means counter_bound."""
+    """Whether the counter walk accepts a chain of budget many windows from
+    window; budget None means counter_bound of its anchor."""
     if budget is None:
         budget = counter_bound(window.anchor.members)
-    search = CounterSearch(BoundPolicy(COUNTER), memo)
-    return search.counter_chain(window, budget, 0, fold=False) is not None
+    return CounterSearch(memo).counter_chain(window, budget, 0, fold=False) is not None

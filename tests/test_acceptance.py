@@ -16,10 +16,7 @@ import pytest
 import densemodal.windows as windows_mod
 from densemodal import (
     Atom,
-    BoundPolicy,
     Box,
-    COUNTER,
-    LASSO,
     MOD_A,
     MOD_B,
     Not,
@@ -29,7 +26,6 @@ from densemodal import (
     UNSAT,
     all_formulas,
     bounded_search,
-    counter_bound,
     csf,
     is_dense,
     is_weakly_dense,
@@ -50,7 +46,7 @@ from densemodal.errors import InvariantError
 from densemodal.kde import frame_model
 from densemodal.saturation import is_saturation_of, saturation_family
 from conftest import random_formula
-from counter_reference import reference_sat_set
+from counter_reference import CounterSearch, counter_bound, reference_sat_set
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -309,7 +305,7 @@ def test_criterion_08_continuation_audit(continuation_audit, kdeab_corpus):
 
 
 def test_criterion_09_bound_policy_agreement(kdeab_corpus):
-    # Counter mode against lasso mode and against the former counter walk
+    # The lasso search against the paper's counter walk
     # (tests/counter_reference.py), which walks its whole 2**(M*(d+1))
     # budget, hence the skip.
     compared = disagreements = 0
@@ -320,35 +316,21 @@ def test_criterion_09_bound_policy_agreement(kdeab_corpus):
         if max(counter_bound(w.members) for w in family) > 2 ** 16:
             continue
         compared += 1
-        counter = sat_set({phi}, BoundPolicy(COUNTER))
         reference = reference_sat_set({phi})
-        if not (
-            counter.verdict == result.verdict == reference.verdict
-            and counter.witness == reference.witness
-        ):
+        if not (result.verdict == reference.verdict and result.witness == reference.witness):
             disagreements += 1
     worked = Saturation(
         frozenset({Box(MOD_A, Atom("q")), Not(Box(MOD_A, Atom("p")))}),
         frozenset({Box(MOD_A, Atom("q")), Not(Box(MOD_A, Atom("p")))}),
     )
     worked_ok = (
-        sat_saturation(worked, BoundPolicy(LASSO)).verdict == SAT
-        and sat_saturation(worked, BoundPolicy(COUNTER)).verdict == SAT
+        sat_saturation(worked).verdict == SAT
+        and CounterSearch().sat_members(worked.members, 0) is not None
     )
     ok = disagreements == 0 and worked_ok
-    report(9, ok, f"{compared} formulas compared across modes, {disagreements} disagreements")
+    report(9, ok, f"{compared} formulas compared with the counter walk, {disagreements} disagreements")
     assert worked_ok
     assert disagreements == 0
-
-
-def test_counter_mode_reads_the_lasso_search(kdeab_corpus):
-    # No skip: counter mode now reads the lasso search, so it answers
-    # every formula with lasso's verdict, witness and stats.
-    for phi, result, _, _ in kdeab_corpus["entries"]:
-        counter = sat_set({phi}, BoundPolicy(COUNTER))
-        assert counter.verdict == result.verdict, phi
-        assert counter.witness == result.witness, phi
-        assert counter.stats == result.stats, phi
 
 
 CLI_CASES = [
@@ -357,7 +339,7 @@ CLI_CASES = [
     ["solve", "--logic", "kde", "--mode", "sat", "--stats", "<>p & ~p"],
     ["solve", "--logic", "kdeab", "--mode", "sat", "~([a][b]p -> [a]p)"],
     ["solve", "--logic", "kdeab", "--mode", "sat", "--model", "{tmp}", "--stats", "~[a]p"],
-    ["solve", "--logic", "kdeab", "--mode", "sat", "--bound", "counter", "~[a]p"],
+    ["solve", "--logic", "kdeab", "--mode", "sat", "--stats", "<a>(p & q) & [a]<b>r"],
     ["solve", "--logic", "kdeab", "--mode", "sat", "--no-memo", "~[a]p"],
     ["solve", "--logic", "kdeab", "--mode", "valid", "[a][b]p -> [a]p"],
     ["oracle", "--class", "weakly-dense", "--max-worlds", "2", "~[a]p"],

@@ -5,14 +5,10 @@ import tracemalloc
 
 import pytest
 
-import densemodal.kdeab as kdeab_mod
 import densemodal.windows as windows_mod
 from densemodal import (
     Atom,
-    BoundPolicy,
     Box,
-    COUNTER,
-    LASSO,
     MOD_A,
     MOD_B,
     Not,
@@ -21,7 +17,6 @@ from densemodal import (
     UNSAT,
     Window,
     all_formulas,
-    counter_bound,
     initial_windows,
     is_weakly_dense,
     model_check,
@@ -32,12 +27,17 @@ from densemodal import (
     sat_window_chain,
     set_degree,
 )
-from densemodal.errors import InvariantError
 from densemodal.formula import MAX_DEPTH
 from densemodal.kdeab import _diamond_bodies
 from densemodal.saturation import saturation_family
-from conftest import MODAL_CHAINS, random_formula
-from counter_reference import cached_sat_set, reference_sat_set, reference_window_chain
+from conftest import MODAL_CHAINS, chained_formula, random_formula
+from counter_reference import (
+    CounterSearch,
+    cached_sat_set,
+    counter_bound,
+    reference_sat_set,
+    reference_window_chain,
+)
 import rule_reference
 
 P, Q = Atom("p"), Atom("q")
@@ -132,9 +132,13 @@ class TestSatSet:
 
     def test_memo_toggle_same_verdicts(self):
         rng = random.Random(113)
-        for _ in range(60):
-            phi = random_formula(rng, 6, ["p"], (MOD_A, MOD_B))
-            assert sat_set({phi}, memo=True).verdict == sat_set({phi}, memo=False).verdict
+        chained = 0
+        for _ in range(200):
+            phi = chained_formula(rng, 6, ["p"])
+            memo = sat_set({phi}, memo=True)
+            assert memo.verdict == sat_set({phi}, memo=False).verdict, phi
+            chained += memo.stats["windows"] > 0
+        assert chained >= 80
 
     def test_recursion_depth_bounded_by_degree(self):
         rng = random.Random(127)
@@ -146,9 +150,9 @@ class TestSatSet:
 
 class TestSatSaturation:
     def test_worked_anchor_both_modes(self):
-        for mode in (LASSO, COUNTER):
-            result = sat_saturation(WORKED, BoundPolicy(mode=mode))
-            assert result.verdict == SAT
+        # The lasso search and the paper's counter walk both accept it.
+        assert sat_saturation(WORKED).verdict == SAT
+        assert CounterSearch().sat_members(WORKED.members, 0) is not None
 
     def test_empty_saturation_sat(self):
         result = sat_saturation(Saturation(frozenset(), frozenset()))
@@ -191,25 +195,19 @@ def chain_graph(monkeypatch, edges):
 
 
 class TestWindowChain:
-    def test_zero_budget_accepts(self):
-        start = next(iter(initial_windows(WORKED, Not(P))))
-        assert sat_window_chain(start, BoundPolicy(COUNTER), budget=0)
-
-    def test_one_budget_accepts_sat_head(self):
-        start = next(iter(initial_windows(WORKED, Not(P))))
-        assert sat_window_chain(start, BoundPolicy(COUNTER), budget=1)
-
     def test_worked_chain_accepts_in_both_modes(self):
+        # The lasso search and the paper's counter walk both accept it.
         start = next(iter(initial_windows(WORKED, Not(P))))
         assert sat_window_chain(start)
-        assert sat_window_chain(start, BoundPolicy(COUNTER))
+        assert reference_window_chain(start, None)
 
     def test_matches_reference_counter_walk(self):
         # Every initial window of every anchor among the saturations of the
-        # bimodal corpus of criterion 3, at budgets 0-3 and at the anchor's
-        # own bound.  The reference solves the chain heads with its own
+        # bimodal corpus of criterion 3: the lasso search against the
+        # counter walk at the anchor's own bound, and a lasso meets budgets
+        # 0-3 as well.  The reference solves the chain heads with its own
         # walk, which takes nested budgets from counter_bound and walks them
-        # whole, so anchors above 2**16 are compared at budget 0 only.
+        # whole, so anchors above 2**16 are skipped.
         anchors = dict.fromkeys(
             w.members
             for phi in all_formulas(6, ["p"], modalities=(MOD_A, MOD_B))
@@ -217,22 +215,23 @@ class TestWindowChain:
         )
         compared = 0
         for members in anchors:
+            if counter_bound(members) > 2 ** 16:
+                continue
             anchor = Saturation(members, members)
-            budgets = (0, 1, 2, 3, None) if counter_bound(members) <= 2 ** 16 else (0,)
             for body in _diamond_bodies(members, MOD_A):
                 for start in initial_windows(anchor, Not(body)):
-                    for budget in budgets:
-                        got = sat_window_chain(start, BoundPolicy(COUNTER), budget=budget)
-                        assert got == reference_window_chain(start, budget), (members, budget)
-                        compared += 1
-        assert compared > 400
+                    got = sat_window_chain(start)
+                    assert got == reference_window_chain(start, None), members
+                    for budget in (0, 1, 2, 3):
+                        assert reference_window_chain(start, budget) or not got, (members, budget)
+                    compared += 1
+        assert compared >= 66
 
     def test_budget_reads_the_longest_chain(self, monkeypatch):
         # No lasso: w0 -> w1 -> w2 and w0 -> w3, so the longest chain has
         # three windows, and counter_bound(WORKED) is 4096.
         start = chain_graph(monkeypatch, [(0, 1), (1, 2), (0, 3)])
         for budget, accepts in [(0, True), (1, True), (2, True), (3, True), (4, False), (None, False)]:
-            assert sat_window_chain(start, BoundPolicy(COUNTER), budget=budget) is accepts
             assert reference_window_chain(start, budget) is accepts
         assert not sat_window_chain(start)
 
@@ -240,18 +239,7 @@ class TestWindowChain:
         start = chain_graph(monkeypatch, [(0, 1), (1, 2), (2, 1)])
         assert sat_window_chain(start)
         for budget in (0, 1, 2, 3, 4, None):
-            assert sat_window_chain(start, BoundPolicy(COUNTER), budget=budget)
             assert reference_window_chain(start, budget)
-
-    def test_a_bound_below_the_window_count_is_caught(self, monkeypatch):
-        # A repetition-free chain of three windows meets a bound of 2 in a
-        # full solve: a true bound exceeds the window count, so this raises.
-        start = chain_graph(monkeypatch, [(0, 1), (1, 2)])
-        monkeypatch.setattr(windows_mod, "initial_windows", lambda anchor, body, *_: iter([start]))
-        monkeypatch.setattr(kdeab_mod, "counter_bound", lambda members: 2)
-        assert sat_saturation(WORKED).verdict == UNSAT
-        with pytest.raises(InvariantError, match="counter bound"):
-            sat_saturation(WORKED, BoundPolicy(COUNTER))
 
     def test_a_lasso_draws_one_continuation_from_a_longer_stream(self, monkeypatch):
         # The initial window of <a>p & [a](p | q) has two continuations, and
@@ -304,44 +292,38 @@ class TestExtractModel:
 
 class TestBoundAgreement:
     def test_modes_agree_on_random_formulas(self):
-        # The reference counter walk covers only small bounds, hence the skip.
+        # The lasso search against the paper's counter walk.  The reference
+        # covers only small bounds, hence the skip, and the floor on how
+        # many compared formulas entered a window chain.
         rng = random.Random(131)
-        for _ in range(80):
-            phi = random_formula(rng, 6, ["p"], (MOD_A, MOD_B))
+        compared = chained = 0
+        for _ in range(400):
+            phi = chained_formula(rng, 4, ["p"])
             fam = saturation_family(frozenset({phi}))
             if fam and max(counter_bound(w.members) for w in fam) > 2 ** 16:
                 continue
-            lasso = sat_set({phi}, BoundPolicy(LASSO)).verdict
-            counter = sat_set({phi}, BoundPolicy(COUNTER))
+            lasso = sat_set({phi})
             reference = reference_sat_set({phi})
-            assert lasso == counter.verdict == reference.verdict
-            assert counter.witness == reference.witness, phi
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BoundPolicy(mode="bogus")
-
-    def test_negative_counter_value_rejected(self):
-        start = next(iter(initial_windows(WORKED, Not(P))))
-        with pytest.raises(ValueError, match="negative"):
-            sat_window_chain(start, BoundPolicy(COUNTER), budget=-1)
+            assert lasso.verdict == reference.verdict, phi
+            assert lasso.witness == reference.witness, phi
+            compared += 1
+            chained += lasso.stats["windows"] > 0
+        assert compared >= 80 and chained >= 40
 
 
 class TestStreamedContinuations:
     """sat_set, which reads each window's continuations as a stream, against
     the former search, which cached them whole per window (cached_sat_set in
-    tests/counter_reference.py): same verdict, witness and stats, in both
-    bound modes."""
+    tests/counter_reference.py): same verdict, witness and stats."""
 
     @staticmethod
     def agree(phi) -> int:
         """Compare both searches on phi; return the windows it entered."""
-        for mode in (LASSO, COUNTER):
-            got = sat_set({phi}, BoundPolicy(mode))
-            want = cached_sat_set({phi}, BoundPolicy(mode))
-            assert got.verdict == want.verdict, (mode, phi)
-            assert got.witness == want.witness, (mode, phi)
-            assert got.stats == want.stats, (mode, phi)
+        got = sat_set({phi})
+        want = cached_sat_set({phi})
+        assert got.verdict == want.verdict, phi
+        assert got.witness == want.witness, phi
+        assert got.stats == want.stats, phi
         return got.stats["windows"]
 
     def test_acceptance_corpus(self):
@@ -359,14 +341,14 @@ class TestStreamedContinuations:
         self.agree(bi(MODAL_CHAINS[chain](MAX_DEPTH)))
 
     def test_random_formulas(self):
-        # Few random formulas reach an a-diamond, hence the floor on how
-        # many entered a window chain (78 of these do).
+        # About half of these formulas enter a window chain; the floor
+        # keeps the test about chains.
         rng = random.Random(149)
         chained = 0
         for _ in range(2000):
-            phi = random_formula(rng, rng.choice((8, 12, 16)), ["p", "q"], (MOD_A, MOD_B))
+            phi = chained_formula(rng, rng.choice((4, 6, 8)), ["p", "q"])
             chained += self.agree(phi) > 0
-        assert chained >= 50
+        assert chained >= 900
 
 
 class TestMemory:
