@@ -26,6 +26,10 @@ fails exits 70 before anything is printed.  The --stats line comes from
 the same solve as the verdict and the model.  Every model is written by
 oracle.model_json_text; a kde solve reads its fixpoint frame as one model,
 which serves the witness and the corpus runner's frame checks alike.
+
+An argv that starts with a subcommand's name is read by that subcommand's
+parser alone; any other argv (none, --help, an unknown command) is read by
+the top-level parser.
 """
 
 from __future__ import annotations
@@ -114,6 +118,7 @@ def _build_parser() -> _Parser:
     corpus.add_argument("--oracle-worlds", type=int, required=True)
     corpus.set_defaults(func=_cmd_corpus)
 
+    parser._commands = sub.choices
     return parser
 
 
@@ -149,10 +154,28 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+# A text holding one of these parses only in bimodal mode: each always
+# reads as its own token, which unimodal mode rejects.
+_INDEXED_OPS = ("[a]", "[b]", "<a>", "<b>")
+
+
 def _parse_either_mode(text: str) -> Formula:
+    """Parse in unimodal mode, else in bimodal mode; raise the unimodal error.
+
+    A text with an indexed operator tries bimodal mode first, so a bimodal
+    query is parsed once.
+    """
+    indexed = any(op in text for op in _INDEXED_OPS)
+    if indexed:
+        try:
+            return parse(text, BIMODAL)
+        except ParseError:
+            pass
     try:
         return parse(text, UNIMODAL)
     except ParseError as unimodal_error:
+        if indexed:
+            raise
         try:
             return parse(text, BIMODAL)
         except ParseError:
@@ -250,9 +273,15 @@ def _cmd_corpus(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
+    command = parser._commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

@@ -46,7 +46,9 @@ class Formula:
     frozensets and dicts of formulas therefore hash and compare nodes by
     identity, in C, and never walk the tree.  The table holds its nodes
     weakly, so a formula nothing else refers to is freed together with its
-    entry.  Construction is single-threaded: two threads building the same
+    entry: a miss stores a weak reference that carries the entry's key,
+    and the table's removal callback deletes the entry once the node dies.
+    Construction is single-threaded: two threads building the same
     formula at once could each make a node.
 
     Each kind names its fields in `__match_args__`, which repr and pickling
@@ -65,7 +67,9 @@ class Formula:
         if node is None:
             node = object.__new__(cls)
             node._init(*fields)
-            _table[key] = node
+            ref = _Ref(node, _remove)
+            ref.key = key
+            _refs[key] = ref
         return node
 
     def __setattr__(self, name, value=None):
@@ -100,11 +104,25 @@ _set = object.__setattr__
 # are nodes are keyed by identity, which is sound because they are
 # interned too.  An entry leaves the table when its node is freed.
 _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# Lookups read the table's dict of weak references instead of calling the
-# Python-level WeakValueDictionary.get, which keeps a hit through the one
-# varargs constructor as cheap as it was with one constructor per kind.  A
-# dead reference reads as a miss; inserts go through the table.
+# Lookups and inserts use the table's dict of weak references directly,
+# not the Python-level WeakValueDictionary.get and __setitem__.  A dead
+# reference reads as a miss.  A miss stores a _Ref to the new node, which
+# carries its key as the table's own KeyedRef does, so the table's removal
+# callback (_remove) deletes the entry when the node is freed; that
+# callback deletes only an entry whose reference is dead, so it never
+# takes out a newer node stored under the same key.
 _refs = _table.data
+_remove = _table._remove
+
+
+class _Ref(weakref.ref):
+    """A weak reference that names its table key, built in C.
+
+    weakref.KeyedRef does the same through a Python-level __new__ and
+    __init__, which cost more than the rest of a miss.
+    """
+
+    __slots__ = ("key",)
 
 
 class Atom(Formula):
@@ -302,10 +320,13 @@ def box_inverse(formulas: Iterable[Formula], modality: str) -> frozenset[Formula
 # unary        ~  []  <>  [a]  [b]  <a>  <b>      (tightest, right-assoc)
 # binary       &   then   |   then   ->           (loosest, right-assoc)
 
+# One match per token, leading whitespace skipped.  Any other character is
+# matched by the last alternative, so a scan never skips input: only
+# trailing whitespace matches nothing.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<atom>[a-z][a-z0-9_]*)"
+    r"\s*(?:(?P<atom>[a-z][a-z0-9_]*)"
     r"|(?P<op>\[a\]|\[b\]|\[\]|<a>|<b>|<>|->|[&|~()])"
+    r"|(?P<bad>\S))"
 )
 
 _CONSTANTS = {"false": FALSUM, "true": TOP}
@@ -340,18 +361,16 @@ MAX_DEPTH = 176
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "atom":
-            word = m.group()
-            kind = word if word in ("false", "true") else "atom"
-            tokens.append((kind, word, pos))
-        elif m.lastgroup == "op":
-            tokens.append((m.group(), m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        word = m[group]
+        if group == "op":
+            kind = word
+        elif group == "atom":
+            kind = word if word in _CONSTANTS else "atom"
+        else:
+            raise ParseError(f"unexpected character {word!r}", m.start(group))
+        tokens.append((kind, word, m.start(group)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -368,55 +387,64 @@ def parse(text: str, mode: str = UNIMODAL) -> Formula:
     # The tokens as a stack, next token on top.  Only a step that raises
     # right after pops the end token, so tokens[-1] is always there.
     tokens = _tokenize(text)[::-1]
-
-    def deeper(depth: int, pos: int) -> int:
-        if depth >= MAX_DEPTH:
-            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", pos)
-        return depth + 1
-
-    def parse_unary(depth: int) -> Formula:
-        kind, _, pos = tokens[-1]
-        if kind not in _UNARY:
-            return parse_primary(depth)
-        tokens.pop()
-        child = parse_unary(deeper(depth, pos))
-        only, build = _UNARY[kind]
-        if only is not None and only != mode:
-            what = "bare" if only == UNIMODAL else "indexed operator"
-            raise ParseError(f"{what} {kind!r} is not available in {mode} mode", pos)
-        return build(child)
-
-    def parse_primary(depth: int) -> Formula:
-        kind, word, pos = tokens.pop()
-        if kind == "atom":
-            return Atom(word)
-        if kind in _CONSTANTS:
-            return _CONSTANTS[kind]
-        if kind == "(":
-            inner = parse_binary(1, deeper(depth, pos))
-            closing, _, cpos = tokens.pop()
-            if closing != ")":
-                raise ParseError("expected ')'", cpos)
-            return inner
-        raise ParseError("expected a formula", pos)
-
-    def parse_binary(lowest: int, depth: int) -> Formula:
-        # Precedence climbing: take operators binding at least as tightly
-        # as `lowest`, each one's right operand one level deeper.
-        left = parse_unary(depth)
-        while True:
-            kind, _, pos = tokens[-1]
-            precedence, build = _BINARY.get(kind, (0, None))
-            if precedence < lowest:
-                return left
-            tokens.pop()
-            left = build(left, parse_binary(precedence, deeper(depth, pos)))
-
-    result = parse_binary(1, 0)
+    result = _parse_binary(tokens, mode, 1, 0)
     kind, word, pos = tokens[-1]
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {word!r}", pos)
     return result
+
+
+# The parser's steps are module functions that take the token stack and
+# the mode as arguments: as closures inside parse they would refer to one
+# another, a reference cycle that leaves each parse's functions and tokens
+# to the cycle collector.
+
+
+def _deeper(depth: int, pos: int) -> int:
+    if depth >= MAX_DEPTH:
+        raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", pos)
+    return depth + 1
+
+
+def _parse_unary(tokens: list, mode: str, depth: int) -> Formula:
+    kind, _, pos = tokens[-1]
+    if kind not in _UNARY:
+        return _parse_primary(tokens, mode, depth)
+    tokens.pop()
+    child = _parse_unary(tokens, mode, _deeper(depth, pos))
+    only, build = _UNARY[kind]
+    if only is not None and only != mode:
+        what = "bare" if only == UNIMODAL else "indexed operator"
+        raise ParseError(f"{what} {kind!r} is not available in {mode} mode", pos)
+    return build(child)
+
+
+def _parse_primary(tokens: list, mode: str, depth: int) -> Formula:
+    kind, word, pos = tokens.pop()
+    if kind == "atom":
+        return Atom(word)
+    if kind in _CONSTANTS:
+        return _CONSTANTS[kind]
+    if kind == "(":
+        inner = _parse_binary(tokens, mode, 1, _deeper(depth, pos))
+        closing, _, cpos = tokens.pop()
+        if closing != ")":
+            raise ParseError("expected ')'", cpos)
+        return inner
+    raise ParseError("expected a formula", pos)
+
+
+def _parse_binary(tokens: list, mode: str, lowest: int, depth: int) -> Formula:
+    # Precedence climbing: take operators binding at least as tightly as
+    # `lowest`, each one's right operand one level deeper.
+    left = _parse_unary(tokens, mode, depth)
+    while True:
+        kind, _, pos = tokens[-1]
+        precedence, build = _BINARY.get(kind, (0, None))
+        if precedence < lowest:
+            return left
+        tokens.pop()
+        left = build(left, _parse_binary(tokens, mode, precedence, _deeper(depth, pos)))
 
 
 # Printer precedence levels; unary operators and atoms bind tightest.

@@ -7,10 +7,14 @@ cached_sat_set runs it, so differential tests can compare the two.
 
 The paper stops a window chain by a pigeonhole count: a chain of
 counter_bound(anchor) windows with satisfiable heads must repeat a window.
-The counter walk keeps that rule.  It walks window chains depth first and
-accepts once budget many windows line up; it remembers each failed window
-under the smallest budget it failed at, and folds an accepted chain at its
-first repeated window.  The solver accepts on the first repeated window
+The counter walk keeps that rule, counted over the windows a chain can
+meet: each chain's budget, nested chains' included, is one more than the
+number of windows reachable from its start (CounterSearch.chain_budget),
+never more than counter_bound, so the walk ends on anchors whose
+counter_bound could never be walked.  It walks window chains depth first
+and accepts once budget many windows line up; it remembers each failed
+window under the smallest budget it failed at, and folds an accepted chain
+at its first repeated window.  The solver accepts on the first repeated window
 instead (a lasso); the differential tests compare the two through
 reference_sat_set and reference_window_chain.  The counter walk re-enters
 windows while it walks whole budgets, so it reads continuations through
@@ -88,7 +92,25 @@ class CounterSearch(CachedSearch):
     """The solver's search with every window chain run by the counter walk."""
 
     def lasso_chain(self, start, depth):
-        return self.counter_chain(start, counter_bound(start.anchor.members), depth)
+        return self.counter_chain(start, self.chain_budget(start), depth)
+
+    def chain_budget(self, start) -> int:
+        """One more than the number of windows reachable from start.
+
+        Every window of a chain from start is reachable from it, so a
+        chain this long repeats a window: the paper's pigeonhole rule,
+        counted over the windows the chain can meet.  The count is at most
+        counter_bound(anchor), which also counts windows no chain from
+        start reaches.
+        """
+        seen = {start.parts}
+        todo = [start]
+        while todo:
+            for nxt in self.continuations_of(todo.pop()):
+                if nxt.parts not in seen:
+                    seen.add(nxt.parts)
+                    todo.append(nxt)
+        return len(seen) + 1
 
     def counter_chain(self, start, budget: int, depth: int, fold: bool = True) -> Optional[ChainWitness]:
         """Accept once budget many windows with satisfiable heads line up.
@@ -184,7 +206,8 @@ def reference_sat_set(formulas, memo: bool = True) -> SatResult:
 
 def reference_window_chain(window, budget: Optional[int], memo: bool = True) -> bool:
     """Whether the counter walk accepts a chain of budget many windows from
-    window; budget None means counter_bound of its anchor."""
+    window; budget None means CounterSearch.chain_budget of window."""
+    search = CounterSearch(memo)
     if budget is None:
-        budget = counter_bound(window.anchor.members)
-    return CounterSearch(memo).counter_chain(window, budget, 0, fold=False) is not None
+        budget = search.chain_budget(window)
+    return search.counter_chain(window, budget, 0, fold=False) is not None

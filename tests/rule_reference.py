@@ -29,7 +29,9 @@ that this reference shares nothing with the module it checks.  `csf` and
 walker with a flag, and `csf` and `sf` below are the two copies.  The
 parser used to write one function per binary operator and spell out each
 unary token in `unary_node`; it now climbs one operator table, and `parse`
-below is the form it replaced.
+below is the form it replaced.  Its `_tokenize` is the former tokenizer
+too: it matched one token or whitespace run per call, where the package
+now reads every token in one scan.
 """
 
 import re

@@ -46,7 +46,7 @@ from densemodal.errors import InvariantError
 from densemodal.kde import frame_model
 from densemodal.saturation import is_saturation_of, saturation_family
 from conftest import random_formula
-from counter_reference import CounterSearch, counter_bound, reference_sat_set
+from counter_reference import CounterSearch, reference_sat_set
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -306,14 +306,13 @@ def test_criterion_08_continuation_audit(continuation_audit, kdeab_corpus):
 
 def test_criterion_09_bound_policy_agreement(kdeab_corpus):
     # The lasso search against the paper's counter walk
-    # (tests/counter_reference.py), which walks its whole 2**(M*(d+1))
-    # budget, hence the skip.
+    # (tests/counter_reference.py), on every formula with a saturation.
+    # The walk counts each chain's budget over the windows reachable from
+    # its start, so formulas whose 2**(M*(d+1)) budget could never be
+    # walked are compared too.
     compared = disagreements = 0
     for phi, result, _, _ in kdeab_corpus["entries"]:
-        family = saturation_family(frozenset({phi}))
-        if not family:
-            continue
-        if max(counter_bound(w.members) for w in family) > 2 ** 16:
+        if not saturation_family(frozenset({phi})):
             continue
         compared += 1
         reference = reference_sat_set({phi})
@@ -327,8 +326,9 @@ def test_criterion_09_bound_policy_agreement(kdeab_corpus):
         sat_saturation(worked).verdict == SAT
         and CounterSearch().sat_members(worked.members, 0) is not None
     )
-    ok = disagreements == 0 and worked_ok
+    ok = disagreements == 0 and worked_ok and compared == 1958
     report(9, ok, f"{compared} formulas compared with the counter walk, {disagreements} disagreements")
+    assert compared == 1958
     assert worked_ok
     assert disagreements == 0
 

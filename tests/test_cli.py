@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -27,10 +29,22 @@ from densemodal import (
     render,
     truth_set,
 )
-from densemodal.cli import main, run_corpus
-from densemodal.formula import MAX_DEPTH
+import densemodal.cli as cli
+from densemodal import formula
+from densemodal.cli import _parse_either_mode, main, run_corpus
+from densemodal.formula import (
+    BIMODAL,
+    MAX_DEPTH,
+    MOD_A,
+    MOD_B,
+    Atom,
+    ParseError,
+    all_formulas,
+    is_unimodal,
+)
 from densemodal.oracle import ModelTables
 from conftest import MODAL_CHAINS, NESTINGS, random_formula
+from frontend_reference import former_main, former_parse_either_mode, random_text
 
 
 def run(capsys, *argv):
@@ -561,3 +575,199 @@ class TestParserReuse:
         after_import, after_one, after_three = map(int, done.stdout.split()[-3:])
         assert after_import == 0
         assert after_one > 0 and after_three == after_one
+
+
+# Argvs the dispatch must answer exactly as the top-level parser does:
+# every usage-error case of this file, then help, "--", "=" and
+# abbreviated options, unknown options and commands, bad values, parse
+# errors and no command at all.
+DISPATCH_CASES = [
+    ["solve", "--logic", "kdeab", "--mode", "sat", "--bound", "counter", "--no-memo", "~[a]p"],
+    ["bogus"],
+    ["solve", "--mode", "sat", "p"],
+    *(
+        argv[:-1] + ["--model", "{missing}", argv[-1]]
+        for argv in (
+            ["solve", "--logic", "kde", "--mode", "sat", "<>p & ~p"],
+            ["solve", "--logic", "kde", "--mode", "valid", "[]p -> p"],
+            ["solve", "--logic", "kdeab", "--mode", "sat", "~[a]p"],
+            ["solve", "--logic", "kdeab", "--mode", "valid", "[a]p -> p"],
+        )
+    ),
+    ["oracle", "--max-worlds", "-1", "p"],
+    ["oracle", "--class", "weakly-dense", "--max-worlds", "-2", "~[a]p"],
+    *(
+        ["corpus", "--logic", logic, "--max-size", size, "--atoms", "1", "--oracle-worlds", worlds]
+        for logic in ("kde", "kdeab")
+        for size, worlds in (("-1", "2"), ("3", "-1"))
+    ),
+    ["oracle", "--class", "all", "--max-worlds", "9", "p"],
+    ["corpus", "--logic", "kde", "--max-size", "1", "--atoms", "9", "--oracle-worlds", "1"],
+    ["translate", "--fresh", "q", "[]q"],
+    *(["translate", "--fresh", guard, "[]q"] for guard in ("false", "true", "P", "x&y")),
+    ["solve", "--logic", "kde", "--mode", "sat", "p &"],
+    ["solve", "--logic", "kde", "--mode", "sat", "[a]p"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["--"],
+    ["--", "solve", "--logic", "kde", "--mode", "sat", "p"],
+    ["-h", "solve"],
+    ["frob", "p"],
+    ["SOLVE", "--logic", "kde", "--mode", "sat", "p"],
+    ["sol", "--logic", "kde", "--mode", "sat", "p"],
+    ["solve"],
+    ["solve", "--help"],
+    ["solve", "--logic", "kde", "-h"],
+    ["oracle", "-h"],
+    ["translate", "--help"],
+    ["corpus", "--help"],
+    ["solve", "--logic=kde", "--mode=valid", "[]p -> p"],
+    ["solve", "--log", "kdeab", "--mo", "sat", "--st", "~[a]p"],
+    ["solve", "--logic", "kde", "--mode", "sat", "--frob", "p"],
+    ["solve", "--logic", "kde", "--mode", "sat", "p", "q"],
+    ["solve", "--logic", "kde", "--mode", "sat", "--", "~p"],
+    ["solve", "--logic", "kde", "--mode", "sat", "--", "-p"],
+    ["solve", "--logic", "kdeab", "--mode", "sat", "-p"],
+    ["solve", "--logic", "kde", "--mode", "maybe", "p"],
+    ["solve", "--logic", "kde", "--mode", "sat"],
+    ["oracle", "--max-worlds", "x", "p"],
+    ["oracle", "--max-worlds", "2"],
+    ["oracle", "--class", "nope", "p"],
+    ["oracle", "--max-worlds", "2", "p & ("],
+    ["oracle", "--max-worlds", "2", "[a]p & []q"],
+    ["translate"],
+    ["translate", "--fresh"],
+    ["corpus", "--logic", "kde"],
+]
+
+
+def outcome(capsys, entry, argv):
+    """Exit code, stdout, stderr and SystemExit code of one call."""
+    code = exit_code = None
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        exit_code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, exit_code
+
+
+class TestDispatch:
+    """main, which hands a known subcommand's argv to its parser, against
+    the former main, which always went through the top-level parser."""
+
+    def test_matches_the_top_level_parser(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        from test_acceptance import CLI_CASES
+
+        cases = CLI_CASES + DISPATCH_CASES + REUSE_SEQUENCE
+        results = set()
+        for case in cases:
+            sides = []
+            for side, entry in (("new", main), ("former", former_main)):
+                model = tmp_path / f"{side}.json"
+                argv = [
+                    arg.replace("{tmp}", str(model)).replace("{missing}", str(tmp_path / "none" / "m.json"))
+                    for arg in case
+                ]
+                got = outcome(capsys, entry, argv)
+                sides.append((got, model.read_bytes() if model.exists() else None))
+                if model.exists():
+                    model.unlink()
+            assert sides[0] == sides[1], case
+            got = sides[0][0]
+            results.add(got[0] if got[3] is None else f"exit {got[3]}")
+        assert results == {0, 64, 65, "exit 0"}
+
+    def test_parses_argv_from_sys_argv_when_none_is_given(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["densemodal", "translate", "--fresh", "p", "[]q"])
+        assert outcome(capsys, lambda _: main(), None) == (0, "[](p -> q)\n", "", None)
+        monkeypatch.setattr(sys, "argv", ["densemodal"])
+        code, out, err, _ = outcome(capsys, lambda _: main(), None)
+        assert (code, out) == (64, "") and err.startswith("usage error: ")
+
+
+class TestOneOracleParse:
+    """The oracle's parse, which tries bimodal mode first on a text with an
+    indexed operator, against the former unimodal-then-bimodal order."""
+
+    @staticmethod
+    def parsed(parse_text, text):
+        try:
+            return parse_text(text)
+        except ParseError as err:
+            return str(err)
+
+    def test_matches_the_two_parse_order(self):
+        rng = random.Random(223)
+        corpus = all_formulas(6, ("p", "q"), (MOD_A, MOD_B))
+        texts = [render(f, BIMODAL) for f in corpus]
+        texts += [render(f, UNIMODAL) for f in corpus if is_unimodal(f)]
+        texts += [random_text(rng) for _ in range(10_000)]
+        outcomes = Counter()
+        for text in texts:
+            # Nodes are interned, so == on two results is identity.
+            got = self.parsed(_parse_either_mode, text)
+            assert got == self.parsed(former_parse_either_mode, text), text
+            outcomes[isinstance(got, str), any(op in text for op in ("[a]", "[b]", "<a>", "<b>"))] += 1
+        # Parsed and rejected texts, with and without indexed operators.
+        assert min(outcomes.values()) > 500, outcomes
+
+    @pytest.mark.parametrize("text, calls", [
+        ("<a>p & [a][b]~p", 1),
+        ("<>p & ~p", 1),
+        ("p & ~q", 1),
+        ("<a>p & []q", 2),
+        ("p &", 2),
+    ])
+    def test_parse_calls_per_oracle_query(self, capsys, monkeypatch, text, calls):
+        real = cli.parse
+        modes = []
+
+        def counting(text, mode):
+            modes.append(mode)
+            return real(text, mode)
+
+        monkeypatch.setattr(cli, "parse", counting)
+        code, out, err = run(capsys, "oracle", "--max-worlds", "2", text)
+        assert len(modes) == calls, modes
+        assert (code, out, err) == outcome(capsys, former_main, ["oracle", "--max-worlds", "2", text])[:3]
+        if text == "<a>p & []q":
+            assert err == "parse error: indexed operator '<a>' is not available in unimodal mode (column 0)\n"
+
+
+class TestInternBookkeeping:
+    """Entries of the intern table leave it with their nodes."""
+
+    QUERIES = [
+        ["solve", "--logic", "kdeab", "--mode", "sat", "--stats", "<a>(probe_p & probe_q) & [a]<b>probe_r"],
+        ["oracle", "--class", "weakly-dense", "--max-worlds", "2", "~[a]probe_p & [b](probe_q | probe_r)"],
+    ]
+
+    def test_a_dropped_query_leaves_the_table_as_it_was(self, capsys):
+        gc.collect()
+        before = len(formula._refs), len(formula._table)
+        for argv in self.QUERIES:
+            assert run(capsys, *argv)[0] == 0
+        gc.collect()
+        assert (len(formula._refs), len(formula._table)) == before
+        assert not any(key[0] is Atom and key[1][0].startswith("probe_") for key in formula._refs)
+
+    def test_a_rebuilt_formula_is_one_node(self, capsys):
+        text = self.QUERIES[1][-1]
+        for argv in self.QUERIES:
+            run(capsys, *argv)
+        gc.collect()
+        before = len(formula._refs)
+        first = parse(text, BIMODAL)
+        assert parse(text, BIMODAL) is first
+        nodes = {id(f): f for f in formula._nodes(first)}
+        assert len(formula._refs) == before + len(nodes)
+        for node in nodes.values():
+            key = (type(node), tuple(getattr(node, f) for f in node.__match_args__))
+            ref = formula._refs[key]
+            assert ref() is node and ref.key == key
+        del first, nodes, node, ref
+        gc.collect()
+        assert len(formula._refs) == before

@@ -36,6 +36,7 @@ from densemodal import (
 from densemodal import formula
 from densemodal.formula import MAX_DEPTH
 from conftest import NESTINGS, random_formula
+from frontend_reference import former_tokenize, random_text
 import rule_reference
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -473,6 +474,21 @@ class TestInterning:
         assert Falsum() is FALSUM
         assert Box(MOD_A, Not(P)) is not Box(MOD_B, Not(P))
 
+    def test_a_parse_leaves_no_cyclic_garbage(self):
+        # Nodes, tokens and parser steps of a dropped parse are freed by
+        # reference counting, whether it succeeds or fails.
+        gc.collect()
+        gc.disable()
+        try:
+            for text in ("<a>p & [b](q | ~r) -> true", "((p))", "p & (", "[]p", "p q", "P"):
+                try:
+                    parse(text, BIMODAL)
+                except ParseError:
+                    pass
+                assert gc.collect() == 0, text
+        finally:
+            gc.enable()
+
     def test_copies_are_the_same_node(self):
         phi = parse(NESTINGS["box"](MAX_DEPTH))
         assert copy.copy(phi) is phi
@@ -562,6 +578,46 @@ class TestParserReference:
     @pytest.mark.parametrize("shape", sorted(NESTINGS))
     def test_every_nesting_shape_at_and_past_the_depth_bound(self, shape):
         _assert_parsers_agree([NESTINGS[shape](MAX_DEPTH), NESTINGS[shape](MAX_DEPTH + 1)])
+
+
+def _tokenized(tokenizer, text):
+    """The tokens of text, or its error's text, message and column."""
+    try:
+        return tokenizer(text)
+    except ParseError as err:
+        return str(err), err.message, err.position
+
+
+class TestTokenizerReference:
+    """The one-scan tokenizer against the former match-per-token loop."""
+
+    def test_random_texts(self):
+        rng = random.Random(211)
+        rejected = 0
+        for _ in range(20_000):
+            text = random_text(rng)
+            got = _tokenized(formula._tokenize, text)
+            assert got == _tokenized(former_tokenize, text), text
+            rejected += isinstance(got, tuple)
+        # Both outcomes are common, so neither half is checked vacuously.
+        assert 3_000 < rejected < 17_000
+
+    def test_every_render_of_the_bimodal_corpus(self):
+        corpus = all_formulas(6, ("p", "q"), (MOD_A, MOD_B))
+        texts = [render(f, BIMODAL) for f in corpus]
+        texts += [render(f, UNIMODAL) for f in corpus if is_unimodal(f)]
+        assert len(texts) == 6744
+        for text in texts:
+            assert formula._tokenize(text) == former_tokenize(text), text
+
+    def test_columns_of_unexpected_characters(self):
+        for text, column in [("P", 0), ("p & Q", 4), ("  \t!", 3), ("p [c]", 2), ("p\u00a0&  1", 5), ("p  ", None)]:
+            got = _tokenized(formula._tokenize, text)
+            assert got == _tokenized(former_tokenize, text)
+            if column is None:
+                assert got[-1] == ("eof", "", len(text))
+            else:
+                assert got[2] == column
 
 
 NODE_FIELDS = {

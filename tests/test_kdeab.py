@@ -204,19 +204,17 @@ class TestWindowChain:
     def test_matches_reference_counter_walk(self):
         # Every initial window of every anchor among the saturations of the
         # bimodal corpus of criterion 3: the lasso search against the
-        # counter walk at the anchor's own bound, and a lasso meets budgets
-        # 0-3 as well.  The reference solves the chain heads with its own
-        # walk, which takes nested budgets from counter_bound and walks them
-        # whole, so anchors above 2**16 are skipped.
+        # counter walk, and a lasso meets budgets 0-3 as well.  The walk
+        # takes each chain's budget, nested ones included, from the windows
+        # reachable from its start, so anchors whose counter_bound is far
+        # too long to walk are compared too: 160 of the 226 windows.
         anchors = dict.fromkeys(
             w.members
             for phi in all_formulas(6, ["p"], modalities=(MOD_A, MOD_B))
             for w in saturation_family(frozenset({phi}))
         )
-        compared = 0
+        compared = large = 0
         for members in anchors:
-            if counter_bound(members) > 2 ** 16:
-                continue
             anchor = Saturation(members, members)
             for body in _diamond_bodies(members, MOD_A):
                 for start in initial_windows(anchor, Not(body)):
@@ -225,12 +223,15 @@ class TestWindowChain:
                     for budget in (0, 1, 2, 3):
                         assert reference_window_chain(start, budget) or not got, (members, budget)
                     compared += 1
-        assert compared >= 66
+                    large += counter_bound(members) > 2 ** 16
+        assert (len(anchors), compared, large) == (2098, 226, 160)
 
     def test_budget_reads_the_longest_chain(self, monkeypatch):
         # No lasso: w0 -> w1 -> w2 and w0 -> w3, so the longest chain has
-        # three windows, and counter_bound(WORKED) is 4096.
+        # three windows.  Four windows are reachable, so the default budget
+        # is five, where counter_bound(WORKED) is 4096.
         start = chain_graph(monkeypatch, [(0, 1), (1, 2), (0, 3)])
+        assert CounterSearch().chain_budget(start) == 5
         for budget, accepts in [(0, True), (1, True), (2, True), (3, True), (4, False), (None, False)]:
             assert reference_window_chain(start, budget) is accepts
         assert not sat_window_chain(start)
@@ -292,23 +293,18 @@ class TestExtractModel:
 
 class TestBoundAgreement:
     def test_modes_agree_on_random_formulas(self):
-        # The lasso search against the paper's counter walk.  The reference
-        # covers only small bounds, hence the skip, and the floor on how
-        # many compared formulas entered a window chain.
+        # The lasso search against the paper's counter walk, on every draw,
+        # with a floor on how many entered a window chain.
         rng = random.Random(131)
-        compared = chained = 0
+        chained = 0
         for _ in range(400):
             phi = chained_formula(rng, 4, ["p"])
-            fam = saturation_family(frozenset({phi}))
-            if fam and max(counter_bound(w.members) for w in fam) > 2 ** 16:
-                continue
             lasso = sat_set({phi})
             reference = reference_sat_set({phi})
             assert lasso.verdict == reference.verdict, phi
             assert lasso.witness == reference.witness, phi
-            compared += 1
             chained += lasso.stats["windows"] > 0
-        assert compared >= 80 and chained >= 40
+        assert chained >= 200
 
 
 class TestStreamedContinuations:
