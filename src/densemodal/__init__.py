@@ -1,4 +1,9 @@
-"""Decision procedures for modal logics of dense and weakly dense frames."""
+"""Decision procedures for modal logics of dense and weakly dense frames.
+
+The names imported here are the public surface.  Solver internals stay in
+their modules: `densemodal.kde`, `densemodal.kdeab`, `densemodal.saturation`
+and `densemodal.windows`.
+"""
 
 from .errors import InvariantError
 from .formula import (
@@ -33,36 +38,8 @@ from .formula import (
     size,
     sort_key,
 )
-from .saturation import Saturation, is_saturation_of, saturation_family, saturations
-from .kdeab import (
-    ChainWitness,
-    SAT,
-    SatResult,
-    SatStats,
-    Trace,
-    UNSAT,
-    extract_model,
-    sat_saturation,
-    sat_set,
-    sat_window_chain,
-)
-from .kde import (
-    FREE_BIT_LIMIT,
-    KdeResult,
-    ProfileFrame,
-    SubformulaIndex,
-    build_index,
-    counter_model,
-    fixpoint,
-    frame_model,
-    initial_frame,
-    kde_sat,
-    kde_solve,
-    kde_valid,
-    profiles,
-    refine_frame,
-)
-from .windows import Window, continuations, initial_windows, is_window, window_to_json
+from .kdeab import SAT, SatResult, UNSAT, sat_set
+from .kde import FREE_BIT_LIMIT, KdeResult, counter_model, kde_sat, kde_solve, kde_valid
 from .oracle import (
     ALL,
     DENSE,

@@ -214,10 +214,6 @@ def sort_key(phi: Formula) -> tuple:
     return phi.sort_key
 
 
-def sorted_formulas(formulas: Iterable[Formula]) -> list[Formula]:
-    return sorted(formulas, key=sort_key)
-
-
 def degree(phi: Formula) -> int:
     """Maximum box-nesting depth, stored on each node."""
     return phi.degree

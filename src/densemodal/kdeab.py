@@ -49,7 +49,7 @@ from .formula import (
 from .oracle import WEAKLY_DENSE, KripkeModel, verify
 # kdeab does not call these; densebench/layers.py wraps them as kdeab call sites.
 from .oracle import is_weakly_dense, model_check  # noqa: F401
-from .saturation import Saturation, Tables, is_saturation_of, saturation_family
+from .saturation import Tables, saturation_family
 from . import windows as _windows
 
 SAT = "SAT"
@@ -131,7 +131,7 @@ class _Search:
 
     # -- saturation choice points ------------------------------------------
 
-    def family(self, seed: frozenset[Formula]) -> tuple[Saturation, ...]:
+    def family(self, seed: frozenset[Formula]) -> tuple[frozenset[Formula], ...]:
         fam = saturation_family(seed, self.tables)
         self.stats.saturations += len(fam)
         return fam
@@ -148,7 +148,7 @@ class _Search:
             seed = frozenset({Not(body)}) | box_inverse(members, MOD_B)
             child = None
             for cand in self.family(seed):
-                child = self.sat_members(cand.members, depth + 1)
+                child = self.sat_members(cand, depth + 1)
                 if child is not None:
                     break
             if child is None:
@@ -156,10 +156,9 @@ class _Search:
                 break
             node.b_children.append(child)
         if node is not None:
-            anchor = Saturation(members, members)
             for body in _diamond_bodies(members, MOD_A):
                 chain = None
-                for start in _windows.initial_windows(anchor, Not(body), self.tables):
+                for start in _windows.initial_windows(members, Not(body), self.tables):
                     self.stats.windows += 1
                     chain = self.lasso_chain(start, depth)
                     if chain is not None:
@@ -268,27 +267,8 @@ def sat_set(formulas: Iterable[Formula], memo: bool = True) -> SatResult:
     targets = frozenset(formulas)
     search = _Search(memo)
     for cand in search.family(targets):
-        trace = search.sat_members(cand.members, 0)
+        trace = search.sat_members(cand, 0)
         if trace is not None:
             model = _verified_witness(trace, targets)
             return SatResult(SAT, model, search.stats.as_dict())
     return SatResult(UNSAT, None, search.stats.as_dict())
-
-
-def sat_saturation(saturation: Saturation, memo: bool = True) -> SatResult:
-    """Satisfiability of a single saturation (diamond by diamond)."""
-    if not is_saturation_of(saturation.members, saturation.seed):
-        raise ValueError("not a valid saturation of its seed")
-    search = _Search(memo)
-    trace = search.sat_members(saturation.members, 0)
-    if trace is None:
-        return SatResult(UNSAT, None, search.stats.as_dict())
-    model = _verified_witness(trace, saturation.members)
-    return SatResult(SAT, model, search.stats.as_dict())
-
-
-def sat_window_chain(window: _windows.Window, memo: bool = True) -> bool:
-    """Whether a window chain starting here can be completed: whether the
-    lasso search finds a repeated window along a chain of windows with
-    satisfiable heads."""
-    return _Search(memo).lasso_chain(window, 0) is not None

@@ -38,22 +38,17 @@ disjunction rule is blocked once one of its two targets is present, so
 branches never pad themselves with underived material.  An inconsistent
 seed has no saturations at all; callers treat the empty stream as the
 failed branch.
+
+A saturation is its member set, a frozenset of formulas: `saturations`
+yields the finished branches as they come, and `saturation_family` is the
+tuple of them, so a family is a tuple of member sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .formula import And, Falsum, Formula, Not, csf, sort_key
-
-
-@dataclass(frozen=True)
-class Saturation:
-    """A saturated, clash-free set together with the seed it extends."""
-
-    members: frozenset[Formula]
-    seed: frozenset[Formula]
 
 
 # A rule: the formula it fires on, what it adds, and whether any one added
@@ -231,8 +226,8 @@ def _seed_table(
 
 def saturations(
     seed: Iterable[Formula], tables: Optional[Tables] = None
-) -> Iterator[Saturation]:
-    """Enumerate every saturation of the seed, each exactly once.
+) -> Iterator[frozenset[Formula]]:
+    """Enumerate every saturation of the seed as a member set, each once.
 
     The yield order is deterministic.  Yields nothing when the seed is
     classically inconsistent.  tables, when given, is the caller's
@@ -241,13 +236,12 @@ def saturations(
     """
     seed = frozenset(seed)
     _, table = _seed_table(seed, tables)
-    for members in _branches(seed, table):
-        yield Saturation(members, seed)
+    yield from _branches(seed, table)
 
 
 def saturation_family(
     seed: frozenset[Formula], tables: Optional[Tables] = None
-) -> tuple[Saturation, ...]:
+) -> tuple[frozenset[Formula], ...]:
     """Every saturation of the seed, in the order saturations() yields them.
 
     The family is enumerated on every call; only the seed's table is

@@ -7,7 +7,8 @@ the search keeps in hand: an ordered tuple (w0, ..., wk) of saturations, k
 the degree of the anchor, where wk extends the a-box bodies of the anchor
 and each earlier part additionally extends the b-box bodies of the part to
 its right.  The first part of the first window also carries the diamond
-body that started the search.
+body that started the search.  The anchor and every part are member sets,
+frozensets of formulas, as `saturation` yields them.
 
 A continuation shifts the slice one step: a tuple (v1, ..., v(k+1)) that is
 itself a window (with indices shifted) and in which each vi extends the
@@ -21,25 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .formula import Formula, MOD_A, MOD_B, box_inverse, render, set_degree, sorted_formulas
-from .saturation import (
-    Saturation,
-    Tables,
-    is_saturation_of,
-    saturation_family,
-    saturation_test,
-)
+from .formula import Formula, MOD_A, MOD_B, box_inverse, set_degree
+from .saturation import Tables, is_saturation_of, saturation_family, saturation_test
 
 
 @dataclass(frozen=True)
 class Window:
-    """A k-window for its anchor; parts are saturation member sets.
+    """A k-window for its anchor; the anchor and parts are member sets.
 
     seed_extra records the diamond body seeded into parts[0] when this is
     an initial window; continuations carry None.
     """
 
-    anchor: Saturation
+    anchor: frozenset[Formula]
     parts: tuple[frozenset[Formula], ...]
     seed_extra: Optional[Formula] = None
 
@@ -53,7 +48,7 @@ class Window:
 
 
 def initial_windows(
-    anchor: Saturation, body: Formula, tables: Optional[Tables] = None
+    anchor: frozenset[Formula], body: Formula, tables: Optional[Tables] = None
 ) -> Iterator[Window]:
     """All degree(anchor)-windows whose first part carries the diamond body.
 
@@ -64,10 +59,10 @@ def initial_windows(
     """
     if tables is None:
         tables = {}
-    k = set_degree(anchor.members)
+    k = set_degree(anchor)
     if k < 1:
         raise ValueError("windows only exist for anchors of degree >= 1")
-    boxa = box_inverse(anchor.members, MOD_A)
+    boxa = box_inverse(anchor, MOD_A)
 
     def choose(i: int, suffix: tuple[frozenset[Formula], ...]) -> Iterator[Window]:
         if i < 0:
@@ -80,7 +75,7 @@ def initial_windows(
             if i == 0:
                 seed = seed | {body}
         for cand in saturation_family(frozenset(seed), tables):
-            yield from choose(i - 1, (cand.members,) + suffix)
+            yield from choose(i - 1, (cand,) + suffix)
 
     yield from choose(k, ())
 
@@ -98,7 +93,7 @@ def continuations(window: Window, tables: Optional[Tables] = None) -> Iterator[W
         tables = {}
     anchor = window.anchor
     k = window.k
-    boxa = box_inverse(anchor.members, MOD_A)
+    boxa = box_inverse(anchor, MOD_A)
 
     def choose(j: int, suffix: tuple[frozenset[Formula], ...]) -> Iterator[Window]:
         if j == 0:
@@ -106,29 +101,28 @@ def continuations(window: Window, tables: Optional[Tables] = None) -> Iterator[W
             return
         if j == k + 1:
             for cand in saturation_family(frozenset(boxa), tables):
-                yield from choose(j - 1, (cand.members,) + suffix)
+                yield from choose(j - 1, (cand,) + suffix)
             return
         boxb_next = box_inverse(suffix[0], MOD_B)
         chain_seed = frozenset(boxb_next | window.parts[j])
         shifted_seed = boxa | boxb_next
         in_shifted = saturation_test(shifted_seed, tables)
         for cand in saturation_family(chain_seed, tables):
-            if in_shifted(cand.members):
-                yield from choose(j - 1, (cand.members,) + suffix)
+            if in_shifted(cand):
+                yield from choose(j - 1, (cand,) + suffix)
 
     yield from choose(k + 1, ())
 
 
 def is_window(
     parts: Sequence[frozenset[Formula]],
-    anchor: Saturation | frozenset[Formula],
+    anchor: frozenset[Formula],
     first_seed_extra: Optional[Formula] = None,
 ) -> bool:
     """Check the window membership conditions directly."""
-    members = anchor.members if isinstance(anchor, Saturation) else frozenset(anchor)
     parts = tuple(frozenset(p) for p in parts)
     k = len(parts) - 1
-    boxa = box_inverse(members, MOD_A)
+    boxa = box_inverse(anchor, MOD_A)
     if not is_saturation_of(parts[k], boxa):
         return False
     for i in range(k):
@@ -138,14 +132,3 @@ def is_window(
         if not is_saturation_of(parts[i], frozenset(seed)):
             return False
     return True
-
-
-def window_to_json(window: Window) -> dict:
-    """Debug dump: formula strings, bimodal spelling, deterministic order."""
-    return {
-        "anchor": [render(f, "bimodal") for f in sorted_formulas(window.anchor.members)],
-        "parts": [
-            [render(f, "bimodal") for f in sorted_formulas(part)]
-            for part in window.parts
-        ],
-    }

@@ -16,9 +16,9 @@ and accepts once budget many windows line up; it remembers each failed
 window under the smallest budget it failed at, and folds an accepted chain
 at its first repeated window.  The solver accepts on the first repeated window
 instead (a lasso); the differential tests compare the two through
-reference_sat_set and reference_window_chain.  The counter walk re-enters
-windows while it walks whole budgets, so it reads continuations through
-CachedSearch's cache.
+reference_sat_set, and chain by chain through lasso_window_chain and
+reference_window_chain.  The counter walk re-enters windows while it walks
+whole budgets, so it reads continuations through CachedSearch's cache.
 """
 
 from typing import Iterable, Iterator, Optional
@@ -51,7 +51,7 @@ class CachedSearch(_Search):
         self._cont_cache: dict[tuple, tuple] = {}
 
     def continuations_of(self, window: _windows.Window) -> tuple:
-        key = (window.anchor.members, window.parts)
+        key = (window.anchor, window.parts)
         got = self._cont_cache.get(key)
         if got is None:
             got = tuple(_windows.continuations(window, self.tables))
@@ -188,7 +188,7 @@ def _solve(search: _Search, formulas) -> SatResult:
     """sat_set's loop, run by the given search."""
     targets = frozenset(formulas)
     for cand in search.family(targets):
-        trace = search.sat_members(cand.members, 0)
+        trace = search.sat_members(cand, 0)
         if trace is not None:
             return SatResult(SAT, _verified_witness(trace, targets), search.stats.as_dict())
     return SatResult(UNSAT, None, search.stats.as_dict())
@@ -202,6 +202,12 @@ def cached_sat_set(formulas, memo: bool = True) -> SatResult:
 def reference_sat_set(formulas, memo: bool = True) -> SatResult:
     """sat_set with every window chain run by the counter walk."""
     return _solve(CounterSearch(memo), formulas)
+
+
+def lasso_window_chain(window, memo: bool = True) -> bool:
+    """Whether the solver's lasso search accepts a chain from window: a
+    repeated window along a chain of windows with satisfiable heads."""
+    return _Search(memo).lasso_chain(window, 0) is not None
 
 
 def reference_window_chain(window, budget: Optional[int], memo: bool = True) -> bool:

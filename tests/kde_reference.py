@@ -9,8 +9,8 @@ tuples, tests midpoints with `isdisjoint` and stops on equal counts; the
 differential tests compare it against the functions below.
 """
 
-from densemodal import InvariantError, build_index
-from densemodal.kde import FREE_BIT_LIMIT, ProfileFrame, profiles
+from densemodal import InvariantError
+from densemodal.kde import FREE_BIT_LIMIT, ProfileFrame, build_index, profiles
 
 
 def initial_frame(ix):

@@ -15,10 +15,6 @@ import densemodal.kde as kde_module
 from densemodal import (
     KdeResult,
     UNIMODAL,
-    build_index,
-    fixpoint,
-    frame_model,
-    initial_frame,
     is_dense,
     is_weakly_dense,
     model_check,
@@ -32,6 +28,7 @@ from densemodal import (
 import densemodal.cli as cli
 from densemodal import formula
 from densemodal.cli import _parse_either_mode, main, run_corpus
+from densemodal.kde import build_index, fixpoint, frame_model, initial_frame
 from densemodal.formula import (
     BIMODAL,
     MAX_DEPTH,

@@ -11,13 +11,9 @@ from densemodal import (
     FREE_BIT_LIMIT,
     MOD_A,
     Not,
-    ProfileFrame,
     SAT,
     UNSAT,
     all_formulas,
-    build_index,
-    fixpoint,
-    initial_frame,
     is_dense,
     kde_sat,
     kde_solve,
@@ -25,11 +21,18 @@ from densemodal import (
     model_check,
     model_json_text,
     parse,
-    refine_frame,
     truth_set,
 )
 import densemodal.kde as kde_module
-from densemodal.kde import counter_model, frame_model
+from densemodal.kde import (
+    ProfileFrame,
+    build_index,
+    counter_model,
+    fixpoint,
+    frame_model,
+    initial_frame,
+    refine_frame,
+)
 from conftest import random_formula
 import kde_reference as reference
 import rule_reference

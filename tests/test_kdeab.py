@@ -13,28 +13,25 @@ from densemodal import (
     MOD_B,
     Not,
     SAT,
-    Saturation,
     UNSAT,
-    Window,
     all_formulas,
-    initial_windows,
     is_weakly_dense,
     model_check,
     model_json_text,
     parse,
-    sat_saturation,
     sat_set,
-    sat_window_chain,
     set_degree,
 )
 from densemodal.formula import MAX_DEPTH
 from densemodal.kdeab import _diamond_bodies
 from densemodal.saturation import saturation_family
+from densemodal.windows import Window, initial_windows
 from conftest import MODAL_CHAINS, chained_formula, random_formula
 from counter_reference import (
     CounterSearch,
     cached_sat_set,
     counter_bound,
+    lasso_window_chain,
     reference_sat_set,
     reference_window_chain,
 )
@@ -47,10 +44,8 @@ def bi(text):
     return parse(text, "bimodal")
 
 
-WORKED = Saturation(
-    frozenset({Box(MOD_A, Q), Not(Box(MOD_A, P))}),
-    frozenset({Box(MOD_A, Q), Not(Box(MOD_A, P))}),
-)
+# A saturated anchor: its own only saturation, so sat_set decides exactly it.
+WORKED = frozenset({Box(MOD_A, Q), Not(Box(MOD_A, P))})
 
 
 class TestSatSet:
@@ -91,7 +86,7 @@ class TestSatSet:
         phi = bi("~([a][b]p -> [a]p)")
         fam = saturation_family(frozenset({phi}))
         assert len(fam) == 1
-        members = fam[0].members
+        members = fam[0]
         assert bi("[a][b]p") in members
         assert Not(bi("[a]p")) in members
 
@@ -149,23 +144,21 @@ class TestSatSet:
 
 
 class TestSatSaturation:
+    """sat_set on saturated sets, each its own only saturation."""
+
     def test_worked_anchor_both_modes(self):
         # The lasso search and the paper's counter walk both accept it.
-        assert sat_saturation(WORKED).verdict == SAT
-        assert CounterSearch().sat_members(WORKED.members, 0) is not None
+        assert saturation_family(WORKED) == (WORKED,)
+        assert sat_set(WORKED).verdict == SAT
+        assert CounterSearch().sat_members(WORKED, 0) is not None
 
     def test_empty_saturation_sat(self):
-        result = sat_saturation(Saturation(frozenset(), frozenset()))
-        assert result.verdict == SAT
-
-    def test_invalid_saturation_rejected(self):
-        bad = frozenset({Not(Not(P))})
-        with pytest.raises(ValueError):
-            sat_saturation(Saturation(bad, bad))
+        assert saturation_family(frozenset()) == (frozenset(),)
+        assert sat_set(frozenset()).verdict == SAT
 
     def test_counter_bound_of_worked_anchor(self):
         # sf(w) has six elements and the degree is one: 2**(6*2).
-        assert counter_bound(WORKED.members) == 4096
+        assert counter_bound(WORKED) == 4096
 
     def test_counter_bound_matches_the_former_formula(self):
         # counter_bound used to count csf(sf(anchor)) with the former
@@ -173,8 +166,8 @@ class TestSatSaturation:
         checked = 0
         for phi in all_formulas(6, ["p"], modalities=(MOD_A, MOD_B)):
             for s in saturation_family(frozenset({phi})):
-                m = len(rule_reference.csf(rule_reference.sf(s.members)))
-                assert counter_bound(s.members) == 2 ** (m * (set_degree(s.members) + 1)), s
+                m = len(rule_reference.csf(rule_reference.sf(s)))
+                assert counter_bound(s) == 2 ** (m * (set_degree(s) + 1)), s
                 checked += 1
         assert checked > 2000
 
@@ -198,7 +191,7 @@ class TestWindowChain:
     def test_worked_chain_accepts_in_both_modes(self):
         # The lasso search and the paper's counter walk both accept it.
         start = next(iter(initial_windows(WORKED, Not(P))))
-        assert sat_window_chain(start)
+        assert lasso_window_chain(start)
         assert reference_window_chain(start, None)
 
     def test_matches_reference_counter_walk(self):
@@ -209,16 +202,15 @@ class TestWindowChain:
         # reachable from its start, so anchors whose counter_bound is far
         # too long to walk are compared too: 160 of the 226 windows.
         anchors = dict.fromkeys(
-            w.members
+            w
             for phi in all_formulas(6, ["p"], modalities=(MOD_A, MOD_B))
             for w in saturation_family(frozenset({phi}))
         )
         compared = large = 0
         for members in anchors:
-            anchor = Saturation(members, members)
             for body in _diamond_bodies(members, MOD_A):
-                for start in initial_windows(anchor, Not(body)):
-                    got = sat_window_chain(start)
+                for start in initial_windows(members, Not(body)):
+                    got = lasso_window_chain(start)
                     assert got == reference_window_chain(start, None), members
                     for budget in (0, 1, 2, 3):
                         assert reference_window_chain(start, budget) or not got, (members, budget)
@@ -234,11 +226,11 @@ class TestWindowChain:
         assert CounterSearch().chain_budget(start) == 5
         for budget, accepts in [(0, True), (1, True), (2, True), (3, True), (4, False), (None, False)]:
             assert reference_window_chain(start, budget) is accepts
-        assert not sat_window_chain(start)
+        assert not lasso_window_chain(start)
 
     def test_a_lasso_meets_every_budget(self, monkeypatch):
         start = chain_graph(monkeypatch, [(0, 1), (1, 2), (2, 1)])
-        assert sat_window_chain(start)
+        assert lasso_window_chain(start)
         for budget in (0, 1, 2, 3, 4, None):
             assert reference_window_chain(start, budget)
 
@@ -268,13 +260,14 @@ class TestWindowChain:
         # Anchor for ~(…axiom…): the only window demands p and ~p together.
         phi = bi("~([a][b]p -> [a]p)")
         w = saturation_family(frozenset({phi}))[0]
-        starts = list(initial_windows(Saturation(w.members, w.members), Not(bi("p"))))
+        starts = list(initial_windows(w, Not(bi("p"))))
         assert starts == []
 
 
 class TestExtractModel:
     def test_shared_heads_collapse_to_one_world(self):
-        result = sat_saturation(WORKED)
+        assert saturation_family(WORKED) == (WORKED,)
+        result = sat_set(WORKED)
         m = result.witness
         assert sorted(m.worlds) == [0, 1, 2]
         assert (0, 1) in m.ra and (0, 2) in m.ra
@@ -282,7 +275,7 @@ class TestExtractModel:
         assert (2, 2) in m.rb and (2, 1) in m.rb
         assert m.valuation == {"q": {1, 2}}
         assert is_weakly_dense(m)
-        for f in WORKED.members:
+        for f in WORKED:
             assert model_check(m, 0, f)
 
     def test_single_world_for_pure_literals(self):

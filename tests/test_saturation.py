@@ -32,7 +32,7 @@ P, Q = Atom("p"), Atom("q")
 
 
 def members_of(seed):
-    return {s.members for s in saturations(seed)}
+    return set(saturations(seed))
 
 
 # -- independent oracle ------------------------------------------------------
@@ -221,16 +221,15 @@ class TestReference:
         every set one member away from one.  With by_family, membership
         is checked against the reference's family instead of its
         membership test, whose search costs seconds per ladder seed."""
-        family = [s.members for s in saturation_family(seed)]
-        expected_family = reference.saturation_family(seed)
-        assert family == expected_family, seed
+        family = saturation_family(seed)
+        assert family == tuple(reference.saturation_family(seed)), seed
         universe = csf(seed)
         for members in family:
             near = [members | {x} for x in universe - members]
             near += [members - {x} for x in members - seed]
             for cand in [members, *near]:
                 if by_family:
-                    expected = cand in expected_family
+                    expected = cand in family
                 else:
                     expected = reference.is_saturation_of(cand, seed)
                 assert is_saturation_of(cand, seed) == expected
@@ -432,7 +431,7 @@ class TestWork:
         )
         monkeypatch.undo()
         visits, family = self._visits(
-            monkeypatch, lambda: [s.members for s in saturation_family(seed)]
+            monkeypatch, lambda: list(saturation_family(seed))
         )
         assert family == family_before and len(family) == 1
         assert visits_before == 13201
@@ -467,8 +466,7 @@ class TestProperties:
                 for _ in range(rng.randint(1, 3))
             )
             for s in saturations(seed):
-                again = list(saturations(s.members))
-                assert [x.members for x in again] == [s.members]
+                assert list(saturations(s)) == [s]
 
     def test_degree_and_size_bounds(self):
         rng = random.Random(43)
@@ -479,9 +477,9 @@ class TestProperties:
             )
             bound = set_size(csf(seed))
             for s in saturations(seed):
-                assert set_degree(s.members) == set_degree(seed)
-                assert set_size(s.members) <= bound
-                assert seed <= s.members <= csf(seed)
+                assert set_degree(s) == set_degree(seed)
+                assert set_size(s) <= bound
+                assert seed <= s <= csf(seed)
 
     def test_each_yielded_once(self):
         rng = random.Random(47)
@@ -489,7 +487,7 @@ class TestProperties:
             seed = frozenset(
                 random_formula(rng, 5, ["p", "q"]) for _ in range(rng.randint(0, 3))
             )
-            got = [s.members for s in saturations(seed)]
+            got = list(saturations(seed))
             assert len(got) == len(set(got))
 
     def test_empty_iff_classically_inconsistent(self):
@@ -526,15 +524,15 @@ class TestAlgebra:
         assert not is_saturation_of(w, u | v)  # ~q underivable next to ~p
         # Absorption's side: u | v is already saturated, so it is its only
         # saturation and w cannot be one.
-        assert [s.members for s in saturations(u | v)] == [u | v]
+        assert list(saturations(u | v)) == [u | v]
         # What composition does guarantee, as criterion 7 checks it: w is
         # closed and contains a branch of u | v.
         assert u | v <= w <= csf(u | v)
         assert is_saturation_of(w, w)
-        assert any(s.members <= w for s in saturations(u | v))
+        assert any(s <= w for s in saturations(u | v))
 
     def test_absorption_of_saturated_parts(self):
-        # For every branch w of u | w1.members with w1 saturated, w splits
+        # For every branch w of u | w1 with w1 saturated, w splits
         # as w1 plus a branch of u alone.
         rng = random.Random(59)
         checked = 0
@@ -548,13 +546,10 @@ class TestAlgebra:
                 for _ in range(rng.randint(1, 2))
             )
             for w1 in saturations(v):
-                for w in saturations(u | w1.members):
+                for w in saturations(u | w1):
                     checked += 1
-                    assert any(
-                        w1.members | s.members == w.members
-                        for s in saturations(u)
-                    )
-                    assert set_degree(w.members - w1.members) <= set_degree(u)
+                    assert any(w1 | s == w for s in saturations(u))
+                    assert set_degree(w - w1) <= set_degree(u)
         assert checked > 100
 
     def test_true_pick_branch_exists(self):
@@ -575,7 +570,7 @@ class TestAlgebra:
             true_at_root = {
                 f for f in csf(seed) if model.root in truth_set(model, f)
             }
-            assert any(s.members <= true_at_root for s in saturations(seed))
+            assert any(s <= true_at_root for s in saturations(seed))
             checked += 1
         assert checked > 40
 

@@ -9,20 +9,16 @@ from densemodal import (
     MOD_A,
     MOD_B,
     Not,
-    Saturation,
     box_inverse,
-    continuations,
     csf,
-    initial_windows,
-    is_window,
     parse,
     sat_set,
     set_degree,
     sort_key,
-    window_to_json,
 )
 from densemodal import windows as windows_module
 from densemodal.saturation import is_saturation_of, saturations
+from densemodal.windows import continuations, initial_windows, is_window
 from conftest import random_formula
 import rule_reference as reference
 
@@ -32,7 +28,7 @@ P, Q = Atom("p"), Atom("q")
 def saturation_of(*formulas):
     members = frozenset(formulas)
     assert is_saturation_of(members, members)
-    return Saturation(members, members)
+    return members
 
 
 WORKED_ANCHOR = saturation_of(Box(MOD_A, Q), Not(Box(MOD_A, P)))
@@ -48,13 +44,13 @@ def _random_anchors(rng, trials):
         for s in saturations(seed):
             bodies = [
                 f.child.child
-                for f in s.members
+                for f in s
                 if isinstance(f, Not)
                 and isinstance(f.child, Box)
                 and f.child.modality == MOD_A
             ]
             if bodies:
-                yield Saturation(s.members, s.members), Not(bodies[0])
+                yield s, Not(bodies[0])
 
 
 class TestInitialWindows:
@@ -93,7 +89,7 @@ class TestInitialWindows:
             for t in initial_windows(anchor, body):
                 checked += 1
                 assert is_window(t.parts, anchor, t.seed_extra)
-                assert len(t.parts) == set_degree(anchor.members) + 1
+                assert len(t.parts) == set_degree(anchor) + 1
         assert checked > 30
 
 
@@ -128,10 +124,9 @@ class TestContinuations:
 
     def test_part_degrees_and_size_bounds(self):
         start = next(iter(initial_windows(WORKED_ANCHOR, Not(P))))
-        anchor_members = WORKED_ANCHOR.members
-        boxa = box_inverse(anchor_members, MOD_A)
+        boxa = box_inverse(WORKED_ANCHOR, MOD_A)
         for i, part in enumerate(start.parts):
-            assert set_degree(part) <= set_degree(anchor_members) - 1
+            assert set_degree(part) <= set_degree(WORKED_ANCHOR) - 1
             seed = set(boxa)
             if i + 1 < len(start.parts):
                 seed |= box_inverse(start.parts[i + 1], MOD_B)
@@ -151,16 +146,6 @@ class TestIsWindow:
 
     def test_wrong_first_part(self):
         assert not is_window((frozenset({P}), frozenset({Q})), WORKED_ANCHOR)
-
-
-class TestJsonDump:
-    def test_shape(self):
-        start = next(iter(initial_windows(WORKED_ANCHOR, Not(P))))
-        dump = window_to_json(start)
-        assert dump == {
-            "anchor": ["~[a]p", "[a]q"],
-            "parts": [["q", "~p"], ["q"]],
-        }
 
 
 class TestShiftedSeedTest:
@@ -194,7 +179,7 @@ def continuations_by_definition(window):
     saturation of both the chain seed and the shifted seed.  Neither the
     package's saturation search nor its membership test is used.
     """
-    boxa = box_inverse(window.anchor.members, MOD_A)
+    boxa = box_inverse(window.anchor, MOD_A)
 
     def saturations_of_both(seed, shifted):
         closure = sorted(reference.csf(seed), key=sort_key)
@@ -233,7 +218,7 @@ class TestEveryContinuation:
 
     @pytest.mark.parametrize("text", FORMULAS)
     def test_matches_the_brute_force_enumeration(self, text):
-        (anchor,) = [Saturation(s.members, s.members) for s in saturations({parse(text, "bimodal")})]
+        (anchor,) = saturations({parse(text, "bimodal")})
         frontier = list(initial_windows(anchor, Not(Not(P))))
         seen = set()
         while frontier:
