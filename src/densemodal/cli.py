@@ -9,9 +9,10 @@ errors, so deep input exits 65 instead of overflowing the stack.  A
 or --oracle-worlds, and a translate --fresh guard that is not an atom name
 are usage errors (64).  solve --logic kde is exponential in the free bits
 (atom and box subformulas) and refuses more than kde.FREE_BIT_LIMIT (12)
-with exit 64: with --stats --model, 8, 10 and 12 free bits measured 0.2 s,
-1.7-1.9 s and 37 s of wall time with 25 MB, 120 MB and 1.1 GB peak memory
-on a 2-vCPU host, and each further bit quadruples the work.
+with exit 64: with --stats --model, 8, 10 and 12 free bits measured
+0.2-0.3 s, 1.7-2.2 s and 33 s of wall time with 24 MB, 104 MB and 0.9 GB
+peak memory on a shared 2-vCPU host, and each further bit quadruples the
+work.
 
 solve --logic kdeab accepts a window chain at its first repeated window.
 Fewer than 2**(M*(d+1)) windows exist over an anchor with M closure

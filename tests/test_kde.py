@@ -341,3 +341,29 @@ class TestReferenceAgreement:
         assert refined == reference.refine_frame(frame, ix)
         originals = {edge: edge for edge in frame.rel}
         assert all(originals[edge] is edge for edge in refined.rel)
+
+    def test_refinement_matches_the_reference_off_the_fixpoint_path(self):
+        # Random sub-frames of initial frames, each without about 20% of the
+        # profiles and 30% of the edges: profiles with equal box requirements
+        # get different successor sets, and some midpoints fail their own
+        # false boxes in the round that tests them.
+        rng = random.Random(2029)
+        formulas = [
+            phi for phi in all_formulas(6, ["p", "q"])[::23]
+            if 3 <= len(build_index(phi).free_positions) <= 5
+        ]
+        assert len(formulas) == 27
+        for phi in formulas:
+            ix = build_index(phi)
+            start = initial_frame(ix)
+            for _ in range(3):
+                kept = frozenset(p for p in sorted(start.profiles) if rng.random() >= 0.2)
+                rel = frozenset(
+                    edge for edge in sorted(start.rel)
+                    if edge[0] in kept and edge[1] in kept and rng.random() >= 0.3
+                )
+                frame = ProfileFrame(kept, rel)
+                refined = refine_frame(frame, ix)
+                assert refined == reference.refine_frame(frame, ix), phi
+                originals = {edge: edge for edge in frame.rel}
+                assert all(originals[edge] is edge for edge in refined.rel), phi
