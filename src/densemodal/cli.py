@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--model", metavar="PATH", help="write the witness or countermodel JSON here")
     solve.add_argument(
         "--no-memo", action="store_true",
-        help="kdeab: re-solve repeated saturations; same verdict, slower",
+        help="kdeab: re-solve repeated saturations and modal parts; same verdict, slower",
     )
     solve.add_argument("--stats", action="store_true")
     solve.add_argument("formula")

@@ -19,9 +19,20 @@ lasso unrolls to any length, so both rules accept the same chains.  The
 test-only counter walk (tests/counter_reference.py) keeps the paper's rule
 as the reference this search is checked against.
 
-A solve holds its memo, its seed tables and, per chain search in progress,
-one frame per window on the current chain, whose continuations it reads
-as a stream: one at a time, never kept past the frame.
+A saturation's verdict depends only on its modal part: its a-box and
+b-box bodies, its a-diamond and b-diamond bodies, and its degree, which
+sets the window length.  Nothing else of the member set is read, so two
+saturations with one modal part get the same verdict and the same child
+traces; only the world's own atoms differ.
+
+A solve holds two memos, its seed tables and, per chain search in
+progress, one frame per window on the current chain, whose continuations
+it reads as a stream: one at a time, never kept past the frame.  One memo
+is keyed on whole member sets, the other on modal parts; a hit in the
+second reuses the cached children under the set's own members, so the
+witness is the one a search without it would build.  Saturation families
+are streams too: the search draws a family's members one at a time and
+stops at the first satisfiable one.
 
 Every SAT verdict is converted into an explicit finite model (worlds are
 the distinct saturations the accepted search touched, chains close their
@@ -34,22 +45,14 @@ rather than returning.  Results carry the search counters as the dict that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .formula import (
-    Atom,
-    Box,
-    Formula,
-    MOD_A,
-    MOD_B,
-    Not,
-    box_inverse,
-    sort_key,
-)
+from .formula import Atom, Box, Formula, MOD_A, Not, sort_key
 from .oracle import WEAKLY_DENSE, KripkeModel, verify
 # kdeab does not call these; densebench/layers.py wraps them as kdeab call sites.
 from .oracle import is_weakly_dense, model_check  # noqa: F401
-from .saturation import Tables, saturation_family
+from .saturation import saturation_family  # noqa: F401
+from .saturation import Tables, saturations
 from . import windows as _windows
 
 SAT = "SAT"
@@ -60,12 +63,13 @@ UNSAT = "UNSAT"
 class SatStats:
     """The search's mutable counters; results carry them as_dict().
 
-    saturations sums the sizes of the saturation families the search
-    computes: the top-level set's and each b-diamond seed's, whether or not
-    every member is tried (window parts, enumerated by the windows module,
-    are not counted).  windows counts windows entered across all chain
-    searches, max_depth is the deepest recursive successor problem (the
-    root counts as depth 0).
+    saturations counts the saturations the search tried: the members it
+    drew from the top-level set's family and from each b-diamond seed's,
+    which it stops drawing at the first satisfiable one (window parts,
+    enumerated by the windows module, are not counted).  windows counts
+    windows entered across all chain searches, max_depth is the deepest
+    recursive successor problem the search solved rather than read from a
+    memo (the root counts as depth 0).
     """
 
     saturations: int = 0
@@ -106,46 +110,75 @@ class ChainWitness:
     cycle_start: int
 
 
-def _diamond_bodies(members: frozenset[Formula], modality: str) -> list[Formula]:
-    bodies = [
-        f.child.child
-        for f in members
-        if isinstance(f, Not)
-        and isinstance(f.child, Box)
-        and f.child.modality == modality
-    ]
-    return sorted(bodies, key=sort_key)
+# What sat_members reads of a member set: its a-box and b-box bodies, its
+# a-diamond and b-diamond bodies in sort_key order, and its degree.
+_ModalPart = tuple[
+    frozenset[Formula], frozenset[Formula], tuple[Formula, ...], tuple[Formula, ...], int
+]
+
+
+def _modal_part(members: frozenset[Formula]) -> _ModalPart:
+    """Classify a member set's formulas in one pass."""
+    box_a: list[Formula] = []
+    box_b: list[Formula] = []
+    diamond_a: list[Formula] = []
+    diamond_b: list[Formula] = []
+    degree = 0
+    for f in members:
+        if f.degree > degree:
+            degree = f.degree
+        if isinstance(f, Box):
+            (box_a if f.modality == MOD_A else box_b).append(f.child)
+        elif isinstance(f, Not) and isinstance(f.child, Box):
+            (diamond_a if f.child.modality == MOD_A else diamond_b).append(f.child.child)
+    return (
+        frozenset(box_a),
+        frozenset(box_b),
+        tuple(sorted(diamond_a, key=sort_key)),
+        tuple(sorted(diamond_b, key=sort_key)),
+        degree,
+    )
 
 
 class _Search:
-    """One solve.  Its memo, seed tables and counters live as long as the
+    """One solve.  Its memos, seed tables and counters live as long as the
     solve; each chain search in progress adds one frame per window on its
     current chain (see lasso_chain)."""
 
     def __init__(self, memo: bool = True):
         self.memo_enabled = memo
+        # Solved member sets, and solved modal parts (see _modal_part).
         self.memo: dict[frozenset[Formula], Optional[Trace]] = {}
+        self.modal_memo: dict[_ModalPart, Optional[Trace]] = {}
         self.stats = SatStats()
         # Each seed's closure and rule table, built once per solve.
         self.tables: Tables = {}
 
     # -- saturation choice points ------------------------------------------
 
-    def family(self, seed: frozenset[Formula]) -> tuple[frozenset[Formula], ...]:
-        fam = saturation_family(seed, self.tables)
-        self.stats.saturations += len(fam)
-        return fam
+    def family(self, seed: frozenset[Formula]) -> Iterator[frozenset[Formula]]:
+        """The seed's saturations as a stream, each counted as it is drawn."""
+        for members in saturations(seed, self.tables):
+            self.stats.saturations += 1
+            yield members
 
     # -- main recursion ----------------------------------------------------
 
     def sat_members(self, members: frozenset[Formula], depth: int) -> Optional[Trace]:
         if self.memo_enabled and members in self.memo:
             return self.memo[members]
+        part = _modal_part(members)
+        if self.memo_enabled and part in self.modal_memo:
+            cached = self.modal_memo[part]
+            if cached is None:
+                return None
+            return Trace(members, cached.b_children, cached.a_chains)
         if depth > self.stats.max_depth:
             self.stats.max_depth = depth
+        _, boxb, diamonds_a, diamonds_b, _ = part
         node: Optional[Trace] = Trace(members)
-        for body in _diamond_bodies(members, MOD_B):
-            seed = frozenset({Not(body)}) | box_inverse(members, MOD_B)
+        for body in diamonds_b:
+            seed = frozenset({Not(body)}) | boxb
             child = None
             for cand in self.family(seed):
                 child = self.sat_members(cand, depth + 1)
@@ -156,7 +189,7 @@ class _Search:
                 break
             node.b_children.append(child)
         if node is not None:
-            for body in _diamond_bodies(members, MOD_A):
+            for body in diamonds_a:
                 chain = None
                 for start in _windows.initial_windows(members, Not(body), self.tables):
                     self.stats.windows += 1
@@ -169,6 +202,7 @@ class _Search:
                 node.a_chains.append(chain)
         if self.memo_enabled:
             self.memo[members] = node
+            self.modal_memo[part] = node
         return node
 
     # -- window chains -----------------------------------------------------

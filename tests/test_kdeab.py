@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -23,7 +24,7 @@ from densemodal import (
     set_degree,
 )
 from densemodal.formula import MAX_DEPTH
-from densemodal.kdeab import _diamond_bodies
+from densemodal.kdeab import _modal_part
 from densemodal.saturation import saturation_family
 from densemodal.windows import Window, initial_windows
 from conftest import MODAL_CHAINS, chained_formula, random_formula
@@ -36,12 +37,24 @@ from counter_reference import (
     reference_window_chain,
 )
 import rule_reference
+from search_reference import tuple_family_sat_set
 
 P, Q = Atom("p"), Atom("q")
 
 
 def bi(text):
     return parse(text, "bimodal")
+
+
+def sat_ladder(n: int) -> str:
+    return " & ".join(f"(p{i} | q{i})" for i in range(n))
+
+
+def nested_ladder(n: int) -> str:
+    """The SAT ladder of n rungs beside a b-diamond whose 6-rung ladder
+    needs an unsatisfiable b-diamond: UNSAT, with 2**n saturations that
+    share one modal part."""
+    return f"{sat_ladder(n)} & <b>({sat_ladder(6)} & <b>false)"
 
 
 # A saturated anchor: its own only saturation, so sat_set decides exactly it.
@@ -208,7 +221,8 @@ class TestWindowChain:
         )
         compared = large = 0
         for members in anchors:
-            for body in _diamond_bodies(members, MOD_A):
+            _, _, diamonds_a, _, _ = _modal_part(members)
+            for body in diamonds_a:
                 for start in initial_windows(members, Not(body)):
                     got = lasso_window_chain(start)
                     assert got == reference_window_chain(start, None), members
@@ -338,6 +352,114 @@ class TestStreamedContinuations:
             phi = chained_formula(rng, rng.choice((4, 6, 8)), ["p", "q"])
             chained += self.agree(phi) > 0
         assert chained >= 900
+
+
+class TestStreamedFamilies:
+    """sat_set, which draws saturation families as streams and memoizes
+    modal parts, against the former search, which built families whole and
+    memoized member sets only (tuple_family_sat_set in
+    tests/search_reference.py): same verdict and byte-identical witness,
+    with the memos on and off.  Only the counters may differ."""
+
+    @staticmethod
+    def agree(phi, memo: bool) -> int:
+        """Compare both searches on phi; return the windows it entered."""
+        got = sat_set({phi}, memo=memo)
+        want = tuple_family_sat_set({phi}, memo=memo)
+        assert got.verdict == want.verdict, phi
+        if want.witness is None:
+            assert got.witness is None, phi
+        else:
+            assert model_json_text(got.witness) == model_json_text(want.witness), phi
+        return got.stats["windows"]
+
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_every_formula_of_seven_nodes(self, memo):
+        # 10,878 formulas, the acceptance corpus of at most six nodes among them.
+        for phi in all_formulas(7, ["p"], modalities=(MOD_A, MOD_B)):
+            self.agree(phi, memo)
+
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_ladders(self, memo):
+        for n in range(1, 8):
+            for text in (sat_ladder(n), sat_ladder(n) + " & <b>false", nested_ladder(n)):
+                self.agree(bi(text), memo)
+
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_variants_of_one_diamond(self, memo):
+        # Two b-children with one diamond and different boxes of its
+        # modality: the second must not read the first's successors, which
+        # break its box, or which would hide that it is unsatisfiable.
+        for m in ("a", "b"):
+            for body in ("~q", "~p"):
+                self.agree(bi(f"<b>(<{m}>p & [{m}]q) & <b>(<{m}>p & [{m}]{body})"), memo)
+
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_random_formulas(self, memo):
+        # About half of these formulas enter a window chain; the floor
+        # keeps the test about chains.
+        rng = random.Random(151)
+        chained = 0
+        for _ in range(2000):
+            phi = chained_formula(rng, rng.choice((4, 6, 8)), ["p", "q"])
+            chained += self.agree(phi, memo) > 0
+        assert chained >= 900
+
+
+class TestCraftedWork:
+    """Crafted inputs where drawing families as streams, and solving each
+    modal part once, remove exponential work; each pins its counters."""
+
+    def test_sat_ladder_tries_one_saturation(self):
+        # 2**40 saturations; the first is satisfiable.
+        phi = bi(sat_ladder(40))
+        start = time.process_time()
+        result = sat_set({phi})
+        elapsed = time.process_time() - start
+        assert result.verdict == SAT
+        assert result.stats == {"max_depth": 0, "saturations": 1, "windows": 0}
+        assert elapsed < 0.5, f"{elapsed:.2f} s of CPU"
+
+    def test_sat_ladder_holds_one_branch(self):
+        # Building the 14-rung family whole peaked at 197 MB.
+        phi = bi(sat_ladder(14))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = sat_set({phi})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == SAT
+        assert peak < 1024 * 1024, f"{peak} bytes at peak"
+
+    def test_nested_ladder_solves_its_modal_part_once(self):
+        # All 4,096 top-level saturations are tried; the first solves the
+        # b-diamond by trying its 64 child saturations, and the other
+        # 4,095 read that verdict from the modal-part memo.
+        phi = bi(nested_ladder(12))
+        start = time.process_time()
+        result = sat_set({phi})
+        elapsed = time.process_time() - start
+        assert result.verdict == UNSAT
+        assert result.stats == {"max_depth": 1, "saturations": 4160, "windows": 0}
+        assert elapsed < 2.0, f"{elapsed:.2f} s of CPU"
+
+    def test_no_memo_solves_every_variant(self):
+        # Without the memos each of the 64 top-level saturations tries the
+        # b-diamond's 64 child saturations again.
+        phi = bi(nested_ladder(6))
+        assert sat_set({phi}).stats == {"max_depth": 1, "saturations": 128, "windows": 0}
+        assert sat_set({phi}, memo=False).stats == {
+            "max_depth": 1, "saturations": 4160, "windows": 0,
+        }
+
+    def test_a_modal_part_of_another_degree_is_solved_again(self):
+        # The two b-children share their boxes and diamonds, but the first
+        # holds r | [b][b][b]q, of degree 3, so its windows are longer: each
+        # child enters its own three windows.
+        phi = bi("<b>(<a>p & r & (r | [b][b][b]q)) & <b>(<a>p & r)")
+        assert sat_set({phi}).stats == {"max_depth": 2, "saturations": 3, "windows": 6}
 
 
 class TestMemory:

@@ -1,6 +1,7 @@
 """Print a digest of what a benchmark workload's first ops output.
 
     python3 tools/output_digest.py --workload xval --ops 300
+    python3 tools/output_digest.py --workload xval --ops 300 --drop-stats
 
 Replays the first N ops of the workload's op stream for seed 401 through
 `densebench.ops.execute`, as the benchmark runs them, and prints the first
@@ -8,6 +9,13 @@ Replays the first N ops of the workload's op stream for seed 401 through
 and each call's exit code, stdout and model file.
 Two checkouts, or two processes, that print the same digest gave
 byte-identical output on those ops.  Exits 1 if an op did not answer.
+
+With --drop-stats, each call's stdout is read as lines, and a call run
+with `--stats` loses its second line, the search counters: the
+verdict-and-model digest.  Two checkouts that print the same such digest
+gave the same verdicts, witnesses and countermodels, whatever their
+counters read, so a change that moves a counter on purpose can show that
+it moved nothing else.
 """
 
 import argparse
@@ -29,8 +37,20 @@ from densebench.workloads import WORKLOADS  # noqa: E402
 SEED = 401
 
 
-def digest(workload: str, ops: int) -> tuple[str, int]:
-    """The digest prefix of the first `ops` ops, and how many did not answer."""
+def _without_stats(call) -> str:
+    """The call's stdout lines, joined by newlines, without its --stats line."""
+    lines = call.out.splitlines()
+    if "--stats" in call.argv:
+        del lines[1:2]
+    return "\n".join(lines)
+
+
+def digest(workload: str, ops: int, drop_stats: bool = False) -> tuple[str, int]:
+    """The digest prefix of the first `ops` ops, and how many did not answer.
+
+    drop_stats digests each op's status, and each call's exit code, stdout
+    without its --stats line and model file, instead of the op's summary.
+    """
     wl = WORKLOADS[workload]
     prog = Program(ROOT)
     prog.load()
@@ -43,7 +63,12 @@ def digest(workload: str, ops: int) -> tuple[str, int]:
         for op in itertools.islice(itertools.chain.from_iterable(stream), ops):
             outcome = execute(prog, op, wl.deadlines[op.slice], model_path)
             failed += outcome.status != "ok"
-            h.update(repr(outcome.summary()).encode())
+            if drop_stats:
+                calls = tuple((c.code, _without_stats(c), c.model) for c in outcome.calls)
+                summary = (outcome.status, calls)
+            else:
+                summary = outcome.summary()
+            h.update(repr(summary).encode())
     return h.hexdigest()[:12], failed
 
 
@@ -51,8 +76,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--ops", type=int, required=True)
+    parser.add_argument(
+        "--drop-stats", action="store_true",
+        help="digest verdicts and models only: drop each call's --stats line",
+    )
     args = parser.parse_args(argv)
-    prefix, failed = digest(args.workload, args.ops)
+    prefix, failed = digest(args.workload, args.ops, args.drop_stats)
     print(prefix)
     if failed:
         print(f"{failed} of {args.ops} ops did not answer", file=sys.stderr)
