@@ -25,14 +25,13 @@ sets the window length.  Nothing else of the member set is read, so two
 saturations with one modal part get the same verdict and the same child
 traces; only the world's own atoms differ.
 
-A solve holds two memos, its seed tables and, per chain search in
-progress, one frame per window on the current chain, whose continuations
-it reads as a stream: one at a time, never kept past the frame.  One memo
-is keyed on whole member sets, the other on modal parts; a hit in the
-second reuses the cached children under the set's own members, so the
-witness is the one a search without it would build.  Saturation families
-are streams too: the search draws a family's members one at a time and
-stops at the first satisfiable one.
+A solve holds a memo, its seed tables and, per chain search in progress,
+one frame per window on the current chain, whose continuations it reads
+as a stream: one at a time, never kept past the frame.  The memo is keyed
+on modal parts, and a hit reuses the cached children under the set's own
+members, so the witness is the one a search without it would build.
+Saturation families are streams too: the search draws a family's members
+one at a time and stops at the first satisfiable one.
 
 Every SAT verdict is converted into an explicit finite model (worlds are
 the distinct saturations the accepted search touched, chains close their
@@ -141,14 +140,13 @@ def _modal_part(members: frozenset[Formula]) -> _ModalPart:
 
 
 class _Search:
-    """One solve.  Its memos, seed tables and counters live as long as the
+    """One solve.  Its memo, seed tables and counters live as long as the
     solve; each chain search in progress adds one frame per window on its
     current chain (see lasso_chain)."""
 
     def __init__(self, memo: bool = True):
         self.memo_enabled = memo
-        # Solved member sets, and solved modal parts (see _modal_part).
-        self.memo: dict[frozenset[Formula], Optional[Trace]] = {}
+        # Solved modal parts (see _modal_part).
         self.modal_memo: dict[_ModalPart, Optional[Trace]] = {}
         self.stats = SatStats()
         # Each seed's closure and rule table, built once per solve.
@@ -165,8 +163,6 @@ class _Search:
     # -- main recursion ----------------------------------------------------
 
     def sat_members(self, members: frozenset[Formula], depth: int) -> Optional[Trace]:
-        if self.memo_enabled and members in self.memo:
-            return self.memo[members]
         part = _modal_part(members)
         if self.memo_enabled and part in self.modal_memo:
             cached = self.modal_memo[part]
@@ -201,7 +197,6 @@ class _Search:
                     break
                 node.a_chains.append(chain)
         if self.memo_enabled:
-            self.memo[members] = node
             self.modal_memo[part] = node
         return node
 

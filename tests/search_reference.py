@@ -4,7 +4,7 @@ The solver's search used to build each saturation family whole, as a
 tuple, before trying its first member, and to memoize solved saturations
 by their whole member sets only, so that every propositional variant of
 one modal part was solved again.  It now draws each family as a stream
-and keeps a second memo keyed on modal parts.  TupleFamilySearch keeps the
+and keys its memo on modal parts.  TupleFamilySearch keeps the
 former search, and tuple_family_sat_set runs it, so differential tests can
 check that the two give the same verdicts and byte-identical witnesses.
 Its counters keep their former meanings: saturations sums the sizes of
@@ -33,6 +33,10 @@ def _diamond_bodies(members: frozenset[Formula], modality: str) -> list[Formula]
 
 class TupleFamilySearch(_Search):
     """The solver's search with tuple families and a member-set memo only."""
+
+    def __init__(self, memo: bool = True):
+        super().__init__(memo)
+        self.memo: dict[frozenset[Formula], Optional[Trace]] = {}
 
     def family(self, seed: frozenset[Formula]) -> tuple[frozenset[Formula], ...]:
         fam = saturation_family(seed, self.tables)

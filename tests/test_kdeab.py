@@ -335,8 +335,7 @@ class TestStreamedContinuations:
 
     def test_disjunction_ladders(self):
         for n in range(1, 8):
-            ladder = " & ".join(f"(p{i} | q{i})" for i in range(n))
-            for text in (ladder, ladder + " & <b>false"):
+            for text in (sat_ladder(n), sat_ladder(n) + " & <b>false"):
                 self.agree(bi(text))
 
     @pytest.mark.parametrize("chain", sorted(MODAL_CHAINS))
@@ -359,7 +358,7 @@ class TestStreamedFamilies:
     modal parts, against the former search, which built families whole and
     memoized member sets only (tuple_family_sat_set in
     tests/search_reference.py): same verdict and byte-identical witness,
-    with the memos on and off.  Only the counters may differ."""
+    with the memo on and off.  Only the counters may differ."""
 
     @staticmethod
     def agree(phi, memo: bool) -> int:
@@ -446,7 +445,7 @@ class TestCraftedWork:
         assert elapsed < 2.0, f"{elapsed:.2f} s of CPU"
 
     def test_no_memo_solves_every_variant(self):
-        # Without the memos each of the 64 top-level saturations tries the
+        # Without the memo each of the 64 top-level saturations tries the
         # b-diamond's 64 child saturations again.
         phi = bi(nested_ladder(6))
         assert sat_set({phi}).stats == {"max_depth": 1, "saturations": 128, "windows": 0}
