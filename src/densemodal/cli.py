@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--model", metavar="PATH", help="write the witness or countermodel JSON here")
     solve.add_argument(
         "--no-memo", action="store_true",
-        help="kdeab: re-solve repeated saturations and modal parts; same verdict, slower",
+        help="kdeab: re-solve every repeated modal part; same verdict and witness, slower",
     )
     solve.add_argument("--stats", action="store_true")
     solve.add_argument("formula")
@@ -164,23 +164,16 @@ def _parse_either_mode(text: str) -> Formula:
     """Parse in unimodal mode, else in bimodal mode; raise the unimodal error.
 
     A text with an indexed operator tries bimodal mode first, so a bimodal
-    query is parsed once.
+    query is parsed once.  A text without one never needs bimodal mode:
+    both modes then read the same tokens, and bimodal mode rejects every
+    text unimodal mode rejects.
     """
-    indexed = any(op in text for op in _INDEXED_OPS)
-    if indexed:
+    if any(op in text for op in _INDEXED_OPS):
         try:
             return parse(text, BIMODAL)
         except ParseError:
             pass
-    try:
-        return parse(text, UNIMODAL)
-    except ParseError as unimodal_error:
-        if indexed:
-            raise
-        try:
-            return parse(text, BIMODAL)
-        except ParseError:
-            raise unimodal_error
+    return parse(text, UNIMODAL)
 
 
 def _cmd_oracle(args) -> int:

@@ -8,8 +8,9 @@ continuations whose first parts must all be satisfiable.  An infinite such
 chain would witness the diamond outright; because windows over one anchor
 form a finite space, a chain that repeats a window can be looped instead.
 
-One depth-first search decides each chain: it accepts on the first window
-repeated along the current chain (a lasso), which the witness loops.  The
+One depth-first search decides each a-diamond: it walks the chains from
+each initial window in turn and accepts on the first window repeated
+along the current chain (a lasso), which the witness loops.  The
 search terminates because windows over one anchor are finitely many: each
 of a window's d+1 parts is a clash-free subset of the anchor's closure of
 M formulas, so there are fewer than 2**(M*(d+1)) of them.  That count is
@@ -26,8 +27,11 @@ saturations with one modal part get the same verdict and the same child
 traces; only the world's own atoms differ.
 
 A solve holds a memo, its seed tables and, per chain search in progress,
-one frame per window on the current chain, whose continuations it reads
-as a stream: one at a time, never kept past the frame.  The memo is keyed
+one stack: its bottom frame reads the diamond's initial windows, and each
+frame above it holds one window of the current chain, whose continuations
+it reads as a stream: one at a time, never kept past the frame.  A window
+is a plain tuple of parts, so the one branch in hand is that stack and the
+recursion above it, as in the paper's tableau.  The memo is keyed
 on modal parts, and a hit reuses the cached children under the set's own
 members, so the witness is the one a search without it would build.
 Saturation families are streams too: the search draws a family's members
@@ -56,31 +60,6 @@ from . import windows as _windows
 
 SAT = "SAT"
 UNSAT = "UNSAT"
-
-
-@dataclass
-class SatStats:
-    """The search's mutable counters; results carry them as_dict().
-
-    saturations counts the saturations the search tried: the members it
-    drew from the top-level set's family and from each b-diamond seed's,
-    which it stops drawing at the first satisfiable one (window parts,
-    enumerated by the windows module, are not counted).  windows counts
-    windows entered across all chain searches, max_depth is the deepest
-    recursive successor problem the search solved rather than read from a
-    memo (the root counts as depth 0).
-    """
-
-    saturations: int = 0
-    windows: int = 0
-    max_depth: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "saturations": self.saturations,
-            "windows": self.windows,
-        }
 
 
 @dataclass(frozen=True)
@@ -141,26 +120,38 @@ def _modal_part(members: frozenset[Formula]) -> _ModalPart:
 
 class _Search:
     """One solve.  Its memo, seed tables and counters live as long as the
-    solve; each chain search in progress adds one frame per window on its
-    current chain (see lasso_chain)."""
+    solve; each chain search in progress adds one stack (see lasso_chain).
+
+    stats is the dict `--stats` prints.  saturations counts the saturations
+    the search tried: the members it drew from the top-level set's family
+    and from each b-diamond seed's, which it stops drawing at the first
+    satisfiable one (window parts, enumerated by the windows module, are
+    not counted).  windows counts the windows drawn across all chain
+    searches, initial ones included.  max_depth is the deepest recursive
+    successor problem the search solved rather than read from the memo
+    (the root counts as depth 0).
+    """
 
     def __init__(self, memo: bool = True):
         self.memo_enabled = memo
         # Solved modal parts (see _modal_part).
         self.modal_memo: dict[_ModalPart, Optional[Trace]] = {}
-        self.stats = SatStats()
+        self.stats = {"max_depth": 0, "saturations": 0, "windows": 0}
         # Each seed's closure and rule table, built once per solve.
         self.tables: Tables = {}
 
-    # -- saturation choice points ------------------------------------------
+    def first(self, seed: frozenset[Formula], depth: int) -> Optional[Trace]:
+        """The trace of the seed's first satisfiable saturation, if any.
 
-    def family(self, seed: frozenset[Formula]) -> Iterator[frozenset[Formula]]:
-        """The seed's saturations as a stream, each counted as it is drawn."""
+        The seed's saturations are drawn as a stream, each counted as it
+        is drawn, and none after the first satisfiable one.
+        """
         for members in saturations(seed, self.tables):
-            self.stats.saturations += 1
-            yield members
-
-    # -- main recursion ----------------------------------------------------
+            self.stats["saturations"] += 1
+            trace = self.sat_members(members, depth)
+            if trace is not None:
+                return trace
+        return None
 
     def sat_members(self, members: frozenset[Formula], depth: int) -> Optional[Trace]:
         part = _modal_part(members)
@@ -169,29 +160,20 @@ class _Search:
             if cached is None:
                 return None
             return Trace(members, cached.b_children, cached.a_chains)
-        if depth > self.stats.max_depth:
-            self.stats.max_depth = depth
-        _, boxb, diamonds_a, diamonds_b, _ = part
+        if depth > self.stats["max_depth"]:
+            self.stats["max_depth"] = depth
+        boxa, boxb, diamonds_a, diamonds_b, degree = part
         node: Optional[Trace] = Trace(members)
         for body in diamonds_b:
-            seed = frozenset({Not(body)}) | boxb
-            child = None
-            for cand in self.family(seed):
-                child = self.sat_members(cand, depth + 1)
-                if child is not None:
-                    break
+            child = self.first(frozenset({Not(body)}) | boxb, depth + 1)
             if child is None:
                 node = None
                 break
             node.b_children.append(child)
         if node is not None:
             for body in diamonds_a:
-                chain = None
-                for start in _windows.initial_windows(members, Not(body), self.tables):
-                    self.stats.windows += 1
-                    chain = self.lasso_chain(start, depth)
-                    if chain is not None:
-                        break
+                starts = _windows.initial_windows(boxa, degree, Not(body), self.tables)
+                chain = self.lasso_chain(boxa, starts, depth)
                 if chain is None:
                     node = None
                     break
@@ -200,35 +182,36 @@ class _Search:
             self.modal_memo[part] = node
         return node
 
-    # -- window chains -----------------------------------------------------
-
-    def lasso_chain(self, start: _windows.Window, depth: int) -> Optional[ChainWitness]:
+    def lasso_chain(
+        self, boxa: frozenset[Formula], starts: Iterator[_windows.Parts], depth: int
+    ) -> Optional[ChainWitness]:
         """Accept on the first window repeated along the current chain.
 
-        The stack holds one frame per window on the current chain: its
-        parts, its head's trace and its live stream of continuations, from
-        which the search draws the next window only when it needs one.
-        Returns None once it has walked every repetition-free chain from
-        start, of which there are finitely many (see the module docstring).
+        The stack's bottom frame holds the stream of start windows; above
+        it, one frame per window on the current chain holds the window's
+        parts, its head's trace and its live stream of continuations.  The
+        search draws the next window from the top stream only when it
+        needs one, so a start is drawn only once every chain from the one
+        before has failed.  Returns None once it has walked every
+        repetition-free chain from every start, of which there are finitely
+        many (see the module docstring).
         """
-        first = self.sat_members(start.head, depth + 1)
-        if first is None:
-            return None
-        stack = [(start.parts, first, _windows.continuations(start, self.tables))]
-        seen = {start.parts: 0}
+        stack: list = [((), None, starts)]
+        seen: dict[_windows.Parts, int] = {}
         while stack:
-            nxt = next(stack[-1][2], None)
-            if nxt is None:
-                del seen[stack.pop()[0]]
+            parts = next(stack[-1][2], None)
+            if parts is None:
+                # The bottom frame's () is the one key never in seen.
+                seen.pop(stack.pop()[0], None)
                 continue
-            self.stats.windows += 1
-            node = self.sat_members(nxt.head, depth + 1)
+            self.stats["windows"] += 1
+            node = self.sat_members(parts[0], depth + 1)
             if node is None:
                 continue
-            if nxt.parts in seen:
-                return ChainWitness([head for _, head, _ in stack], seen[nxt.parts])
-            seen[nxt.parts] = len(stack)
-            stack.append((nxt.parts, node, _windows.continuations(nxt, self.tables)))
+            if parts in seen:
+                return ChainWitness([head for _, head, _ in stack[1:]], seen[parts])
+            seen[parts] = len(stack) - 1
+            stack.append((parts, node, _windows.continuations(boxa, parts, self.tables)))
         return None
 
 
@@ -295,9 +278,7 @@ def sat_set(formulas: Iterable[Formula], memo: bool = True) -> SatResult:
     """
     targets = frozenset(formulas)
     search = _Search(memo)
-    for cand in search.family(targets):
-        trace = search.sat_members(cand, 0)
-        if trace is not None:
-            model = _verified_witness(trace, targets)
-            return SatResult(SAT, model, search.stats.as_dict())
-    return SatResult(UNSAT, None, search.stats.as_dict())
+    trace = search.first(targets, 0)
+    if trace is None:
+        return SatResult(UNSAT, None, search.stats)
+    return SatResult(SAT, _verified_witness(trace, targets), search.stats)

@@ -3,12 +3,13 @@
 To satisfy a negated a-box at a saturated set w, the anchor needs an
 a-successor for the body plus, by weak density, an interpolating
 b-predecessor chain above it, without end.  A window is the finite slice
-the search keeps in hand: an ordered tuple (w0, ..., wk) of saturations, k
-the degree of the anchor, where wk extends the a-box bodies of the anchor
-and each earlier part additionally extends the b-box bodies of the part to
-its right.  The first part of the first window also carries the diamond
-body that started the search.  The anchor and every part are member sets,
-frozensets of formulas, as `saturation` yields them.
+the search keeps in hand: a tuple (w0, ..., wk) of saturations, k the
+degree of the anchor, where wk extends the anchor's a-box bodies and each
+earlier part additionally extends the b-box bodies of the part to its
+right.  The first part of the first window also carries the diamond body
+that started the search.  Nothing else of the anchor is read, so both
+functions take its a-box bodies and degree rather than the anchor.  Every
+part is a member set, a frozenset of formulas, as `saturation` yields it.
 
 A continuation shifts the slice one step: a tuple (v1, ..., v(k+1)) that is
 itself a window (with indices shifted) and in which each vi extends the
@@ -19,54 +20,35 @@ never materializes one because a repeated window lets the chain loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .formula import Formula, MOD_A, MOD_B, box_inverse, set_degree
-from .saturation import Tables, is_saturation_of, saturation_family, saturation_test
+from .formula import Formula, MOD_B, box_inverse
+from .saturation import Tables, saturation_family, saturation_test
+# windows does not call this; densebench/layers.py wraps it as a windows call site.
+from .saturation import is_saturation_of  # noqa: F401
 
-
-@dataclass(frozen=True)
-class Window:
-    """A k-window for its anchor; the anchor and parts are member sets.
-
-    seed_extra records the diamond body seeded into parts[0] when this is
-    an initial window; continuations carry None.
-    """
-
-    anchor: frozenset[Formula]
-    parts: tuple[frozenset[Formula], ...]
-    seed_extra: Optional[Formula] = None
-
-    @property
-    def k(self) -> int:
-        return len(self.parts) - 1
-
-    @property
-    def head(self) -> frozenset[Formula]:
-        return self.parts[0]
+Parts = tuple[frozenset[Formula], ...]
 
 
 def initial_windows(
-    anchor: frozenset[Formula], body: Formula, tables: Optional[Tables] = None
-) -> Iterator[Window]:
-    """All degree(anchor)-windows whose first part carries the diamond body.
+    boxa: frozenset[Formula], k: int, body: Formula, tables: Optional[Tables] = None
+) -> Iterator[Parts]:
+    """All k-windows whose first part carries the diamond body.
 
-    Parts are chosen from the right end leftwards, because each seed depends
-    on the part to its right.  An empty stream means the diamond cannot be
-    satisfied from this anchor.  tables is the solve's seed tables (see
+    boxa and k are the anchor's a-box bodies and degree.  Parts are chosen
+    from the right end leftwards, because each seed depends on the part to
+    its right.  An empty stream means the diamond cannot be satisfied from
+    this anchor.  tables is the solve's seed tables (see
     `saturation.Tables`); without it, this call keeps its own.
     """
     if tables is None:
         tables = {}
-    k = set_degree(anchor)
     if k < 1:
         raise ValueError("windows only exist for anchors of degree >= 1")
-    boxa = box_inverse(anchor, MOD_A)
 
-    def choose(i: int, suffix: tuple[frozenset[Formula], ...]) -> Iterator[Window]:
+    def choose(i: int, suffix: Parts) -> Iterator[Parts]:
         if i < 0:
-            yield Window(anchor, suffix, seed_extra=body)
+            yield suffix
             return
         if i == k:
             seed = boxa
@@ -74,14 +56,16 @@ def initial_windows(
             seed = boxa | box_inverse(suffix[0], MOD_B)
             if i == 0:
                 seed = seed | {body}
-        for cand in saturation_family(frozenset(seed), tables):
+        for cand in saturation_family(seed, tables):
             yield from choose(i - 1, (cand,) + suffix)
 
     yield from choose(k, ())
 
 
-def continuations(window: Window, tables: Optional[Tables] = None) -> Iterator[Window]:
-    """All one-step extensions of a window.
+def continuations(
+    boxa: frozenset[Formula], parts: Parts, tables: Optional[Tables] = None
+) -> Iterator[Parts]:
+    """All one-step extensions of a window over an anchor with a-box bodies boxa.
 
     Each candidate part must lie in the saturation family of the old
     neighbour part plus the b-box bodies of the new part to its right, and
@@ -91,20 +75,18 @@ def continuations(window: Window, tables: Optional[Tables] = None) -> Iterator[W
     """
     if tables is None:
         tables = {}
-    anchor = window.anchor
-    k = window.k
-    boxa = box_inverse(anchor, MOD_A)
+    k = len(parts) - 1
 
-    def choose(j: int, suffix: tuple[frozenset[Formula], ...]) -> Iterator[Window]:
+    def choose(j: int, suffix: Parts) -> Iterator[Parts]:
         if j == 0:
-            yield Window(anchor, suffix)
+            yield suffix
             return
         if j == k + 1:
-            for cand in saturation_family(frozenset(boxa), tables):
+            for cand in saturation_family(boxa, tables):
                 yield from choose(j - 1, (cand,) + suffix)
             return
         boxb_next = box_inverse(suffix[0], MOD_B)
-        chain_seed = frozenset(boxb_next | window.parts[j])
+        chain_seed = boxb_next | parts[j]
         shifted_seed = boxa | boxb_next
         in_shifted = saturation_test(shifted_seed, tables)
         for cand in saturation_family(chain_seed, tables):
@@ -112,23 +94,3 @@ def continuations(window: Window, tables: Optional[Tables] = None) -> Iterator[W
                 yield from choose(j - 1, (cand,) + suffix)
 
     yield from choose(k + 1, ())
-
-
-def is_window(
-    parts: Sequence[frozenset[Formula]],
-    anchor: frozenset[Formula],
-    first_seed_extra: Optional[Formula] = None,
-) -> bool:
-    """Check the window membership conditions directly."""
-    parts = tuple(frozenset(p) for p in parts)
-    k = len(parts) - 1
-    boxa = box_inverse(anchor, MOD_A)
-    if not is_saturation_of(parts[k], boxa):
-        return False
-    for i in range(k):
-        seed = boxa | box_inverse(parts[i + 1], MOD_B)
-        if i == 0 and first_seed_extra is not None:
-            seed = seed | {first_seed_extra}
-        if not is_saturation_of(parts[i], frozenset(seed)):
-            return False
-    return True

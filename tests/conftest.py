@@ -1,6 +1,8 @@
 import random
 
-from densemodal import And, Atom, Box, FALSUM, MOD_A, MOD_B, Not, diamond
+from densemodal import And, Atom, Box, FALSUM, MOD_A, MOD_B, Not, box_inverse, diamond, set_degree
+from densemodal.saturation import is_saturation_of
+from densemodal.windows import initial_windows
 
 
 def random_formula(rng: random.Random, budget: int, names, modalities=(MOD_A,), falsum_rate=0.08):
@@ -63,3 +65,30 @@ MODAL_CHAINS = {
     "<b>": lambda d: "<b>" * d + "p",
     "<a><b>": lambda d: "<a><b>" * (d // 2) + "p",
 }
+
+
+def anchor_windows(anchor, body, tables=None):
+    """The initial windows of a saturated anchor's diamond body: the windows
+    module's stream, given the anchor's a-box bodies and degree."""
+    return initial_windows(box_inverse(anchor, MOD_A), set_degree(anchor), body, tables)
+
+
+def is_window(parts, boxa, first_seed_extra=None) -> bool:
+    """Check the window membership conditions directly.
+
+    parts is a window over an anchor with a-box bodies boxa: its last part
+    is a saturation of boxa, each other part one of boxa plus the b-box
+    bodies of the part to its right, and the first part, when
+    first_seed_extra is given, also carries that diamond body.
+    """
+    parts = tuple(frozenset(p) for p in parts)
+    k = len(parts) - 1
+    if not is_saturation_of(parts[k], boxa):
+        return False
+    for i in range(k):
+        seed = boxa | box_inverse(parts[i + 1], MOD_B)
+        if i == 0 and first_seed_extra is not None:
+            seed = seed | {first_seed_extra}
+        if not is_saturation_of(parts[i], seed):
+            return False
+    return True

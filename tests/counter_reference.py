@@ -1,8 +1,11 @@
 """Test-only references: the cached lasso search and the paper's counter walk.
 
 The lasso search used to cache every window's continuations whole, as a
-tuple per window for the rest of the solve; it now reads each window's
-continuations as a stream.  CachedSearch keeps the cached search, and
+tuple per window for the rest of the solve, and to search the chains from
+each initial window in a loop of its own; it now reads each window's
+continuations as a stream, and keeps the stream of initial windows at the
+bottom of its one stack.  CachedSearch keeps the cached search and the
+per-start loop (its lasso_chain, which CounterSearch inherits), and
 cached_sat_set runs it, so differential tests can compare the two.
 
 The paper stops a window chain by a pigeonhole count: a chain of
@@ -44,57 +47,68 @@ def counter_bound(members: Iterable[Formula]) -> int:
 
 
 class CachedSearch(_Search):
-    """The solver's search with each window's continuations cached whole."""
+    """The solver's search with each window's continuations cached whole,
+    and the chains from each initial window searched one start at a time."""
 
     def __init__(self, memo: bool = True):
         super().__init__(memo)
         self._cont_cache: dict[tuple, tuple] = {}
 
-    def continuations_of(self, window: _windows.Window) -> tuple:
-        key = (window.anchor, window.parts)
+    def continuations_of(self, boxa, parts) -> tuple:
+        key = (boxa, parts)
         got = self._cont_cache.get(key)
         if got is None:
-            got = tuple(_windows.continuations(window, self.tables))
+            got = tuple(_windows.continuations(boxa, parts, self.tables))
             self._cont_cache[key] = got
         return got
 
-    def lasso_chain(self, start, depth):
-        """The former lasso search: _Search.lasso_chain over cached tuples."""
-        first = self.sat_members(start.head, depth + 1)
+    def lasso_chain(self, boxa, starts, depth):
+        """The former per-start loop: each initial window is counted, then
+        its chains are searched before the next is drawn."""
+        for start in starts:
+            self.stats["windows"] += 1
+            chain = self.start_chain(boxa, start, depth)
+            if chain is not None:
+                return chain
+        return None
+
+    def start_chain(self, boxa, start, depth):
+        """The former lasso search from one start, over cached tuples."""
+        first = self.sat_members(start[0], depth + 1)
         if first is None:
             return None
         wins = [start]
         heads = [first]
-        iters = [iter(self.continuations_of(start))]
-        seen = {start.parts: 0}
+        iters = [iter(self.continuations_of(boxa, start))]
+        seen = {start: 0}
         while wins:
             nxt = next(iters[-1], None)
             if nxt is None:
-                del seen[wins[-1].parts]
+                del seen[wins[-1]]
                 wins.pop()
                 heads.pop()
                 iters.pop()
                 continue
-            self.stats.windows += 1
-            node = self.sat_members(nxt.head, depth + 1)
+            self.stats["windows"] += 1
+            node = self.sat_members(nxt[0], depth + 1)
             if node is None:
                 continue
-            if nxt.parts in seen:
-                return ChainWitness(list(heads), seen[nxt.parts])
-            seen[nxt.parts] = len(wins)
+            if nxt in seen:
+                return ChainWitness(list(heads), seen[nxt])
+            seen[nxt] = len(wins)
             wins.append(nxt)
             heads.append(node)
-            iters.append(iter(self.continuations_of(nxt)))
+            iters.append(iter(self.continuations_of(boxa, nxt)))
         return None
 
 
 class CounterSearch(CachedSearch):
     """The solver's search with every window chain run by the counter walk."""
 
-    def lasso_chain(self, start, depth):
-        return self.counter_chain(start, self.chain_budget(start), depth)
+    def start_chain(self, boxa, start, depth):
+        return self.counter_chain(boxa, start, self.chain_budget(boxa, start), depth)
 
-    def chain_budget(self, start) -> int:
+    def chain_budget(self, boxa, start) -> int:
         """One more than the number of windows reachable from start.
 
         Every window of a chain from start is reachable from it, so a
@@ -103,16 +117,18 @@ class CounterSearch(CachedSearch):
         counter_bound(anchor), which also counts windows no chain from
         start reaches.
         """
-        seen = {start.parts}
+        seen = {start}
         todo = [start]
         while todo:
-            for nxt in self.continuations_of(todo.pop()):
-                if nxt.parts not in seen:
-                    seen.add(nxt.parts)
+            for nxt in self.continuations_of(boxa, todo.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
                     todo.append(nxt)
         return len(seen) + 1
 
-    def counter_chain(self, start, budget: int, depth: int, fold: bool = True) -> Optional[ChainWitness]:
+    def counter_chain(
+        self, boxa, start, budget: int, depth: int, fold: bool = True
+    ) -> Optional[ChainWitness]:
         """Accept once budget many windows with satisfiable heads line up.
 
         A chain that fails with r steps still owed also fails with more
@@ -134,16 +150,16 @@ class CounterSearch(CachedSearch):
                 min_fail[parts] = r
 
         def enter(window, r: int) -> bool:
-            prev = min_fail.get(window.parts)
+            prev = min_fail.get(window)
             if prev is not None and prev <= r:
                 return False
-            node = self.sat_members(window.head, depth + 1)
+            node = self.sat_members(window[0], depth + 1)
             if node is None:
-                note_fail(window.parts, 1)
+                note_fail(window, 1)
                 return False
             wins.append(window)
             heads.append(node)
-            iters.append(iter(self.continuations_of(window)))
+            iters.append(iter(self.continuations_of(boxa, window)))
             owed.append(r)
             return True
 
@@ -157,13 +173,13 @@ class CounterSearch(CachedSearch):
         while wins:
             nxt = next(iters[-1], None)
             if nxt is None:
-                note_fail(wins[-1].parts, owed[-1])
+                note_fail(wins[-1], owed[-1])
                 wins.pop()
                 heads.pop()
                 iters.pop()
                 owed.pop()
                 continue
-            self.stats.windows += 1
+            self.stats["windows"] += 1
             if enter(nxt, owed[-1] - 1):
                 if owed[-1] == 1:
                     return accept()
@@ -174,10 +190,10 @@ def _loop_of(wins: list, heads: list[Trace]) -> ChainWitness:
     """Fold an accepted chain at its first repeated window."""
     seen: dict[tuple, int] = {}
     for i, window in enumerate(wins):
-        j = seen.get(window.parts)
+        j = seen.get(window)
         if j is not None:
             return ChainWitness(heads[:i], j)
-        seen[window.parts] = i
+        seen[window] = i
     raise InvariantError(
         "accepted counter chain contains no repeated window; "
         "the budget was below the true window count"
@@ -187,11 +203,10 @@ def _loop_of(wins: list, heads: list[Trace]) -> ChainWitness:
 def _solve(search: _Search, formulas) -> SatResult:
     """sat_set's loop, run by the given search."""
     targets = frozenset(formulas)
-    for cand in search.family(targets):
-        trace = search.sat_members(cand, 0)
-        if trace is not None:
-            return SatResult(SAT, _verified_witness(trace, targets), search.stats.as_dict())
-    return SatResult(UNSAT, None, search.stats.as_dict())
+    trace = search.first(targets, 0)
+    if trace is None:
+        return SatResult(UNSAT, None, search.stats)
+    return SatResult(SAT, _verified_witness(trace, targets), search.stats)
 
 
 def cached_sat_set(formulas, memo: bool = True) -> SatResult:
@@ -204,16 +219,18 @@ def reference_sat_set(formulas, memo: bool = True) -> SatResult:
     return _solve(CounterSearch(memo), formulas)
 
 
-def lasso_window_chain(window, memo: bool = True) -> bool:
-    """Whether the solver's lasso search accepts a chain from window: a
-    repeated window along a chain of windows with satisfiable heads."""
-    return _Search(memo).lasso_chain(window, 0) is not None
+def lasso_window_chain(boxa, window, memo: bool = True) -> bool:
+    """Whether the solver's lasso search accepts a chain from window, over
+    an anchor with a-box bodies boxa: a repeated window along a chain of
+    windows with satisfiable heads.  The search reads a one-window stream
+    of starts."""
+    return _Search(memo).lasso_chain(boxa, iter((window,)), 0) is not None
 
 
-def reference_window_chain(window, budget: Optional[int], memo: bool = True) -> bool:
+def reference_window_chain(boxa, window, budget: Optional[int], memo: bool = True) -> bool:
     """Whether the counter walk accepts a chain of budget many windows from
     window; budget None means CounterSearch.chain_budget of window."""
     search = CounterSearch(memo)
     if budget is None:
-        budget = search.chain_budget(window)
-    return search.counter_chain(window, budget, 0, fold=False) is not None
+        budget = search.chain_budget(boxa, window)
+    return search.counter_chain(boxa, window, budget, 0, fold=False) is not None

@@ -43,7 +43,7 @@ from densemodal import (
 from densemodal.errors import InvariantError
 from densemodal.kde import frame_model
 from densemodal.saturation import is_saturation_of, saturation_family
-from conftest import random_formula
+from conftest import is_window, random_formula
 from counter_reference import CounterSearch, reference_sat_set
 
 
@@ -57,20 +57,34 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def continuation_audit():
-    """Wrap continuation generation so criterion 8 sees every one produced."""
-    real = windows_mod.continuations
-    audit = {"checked": 0, "violations": 0}
+    """Wrap window generation so criterion 8 sees every continuation produced.
 
-    def checking(window, *tables):
-        for cont in real(window, *tables):
-            merged = (window.parts[0],) + cont.parts
+    A window is a bare tuple of parts, so each initial window's diamond
+    body is looked up by the identity of the tuple initial_windows yielded;
+    the audit holds that tuple, so its id is not reused.
+    """
+    real_initial, real = windows_mod.initial_windows, windows_mod.continuations
+    audit = {"checked": 0, "violations": 0}
+    bodies = {}
+
+    def recording(boxa, k, body, *tables):
+        for parts in real_initial(boxa, k, body, *tables):
+            bodies[id(parts)] = (parts, body)
+            yield parts
+
+    def checking(boxa, parts, *tables):
+        _, extra = bodies.get(id(parts), (None, None))
+        for cont in real(boxa, parts, *tables):
+            merged = (parts[0],) + cont
             audit["checked"] += 1
-            if not windows_mod.is_window(merged, window.anchor, window.seed_extra):
+            if not is_window(merged, boxa, extra):
                 audit["violations"] += 1
             yield cont
 
+    windows_mod.initial_windows = recording
     windows_mod.continuations = checking
     yield audit
+    windows_mod.initial_windows = real_initial
     windows_mod.continuations = real
 
 

@@ -719,7 +719,7 @@ class TestOneOracleParse:
         ("<>p & ~p", 1),
         ("p & ~q", 1),
         ("<a>p & []q", 2),
-        ("p &", 2),
+        ("p &", 1),
     ])
     def test_parse_calls_per_oracle_query(self, capsys, monkeypatch, text, calls):
         real = cli.parse

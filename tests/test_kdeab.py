@@ -16,6 +16,7 @@ from densemodal import (
     SAT,
     UNSAT,
     all_formulas,
+    box_inverse,
     is_weakly_dense,
     model_check,
     model_json_text,
@@ -24,11 +25,12 @@ from densemodal import (
     set_degree,
 )
 from densemodal.formula import MAX_DEPTH
-from densemodal.kdeab import _modal_part
+from densemodal.kdeab import _Search, _modal_part
 from densemodal.saturation import saturation_family
-from densemodal.windows import Window, initial_windows
-from conftest import MODAL_CHAINS, chained_formula, random_formula
+from densemodal.windows import initial_windows
+from conftest import MODAL_CHAINS, anchor_windows, chained_formula, random_formula
 from counter_reference import (
+    CachedSearch,
     CounterSearch,
     cached_sat_set,
     counter_bound,
@@ -37,7 +39,7 @@ from counter_reference import (
     reference_window_chain,
 )
 import rule_reference
-from search_reference import tuple_family_sat_set
+from search_reference import TupleFamilySearch, tuple_family_sat_set
 
 P, Q = Atom("p"), Atom("q")
 
@@ -59,6 +61,7 @@ def nested_ladder(n: int) -> str:
 
 # A saturated anchor: its own only saturation, so sat_set decides exactly it.
 WORKED = frozenset({Box(MOD_A, Q), Not(Box(MOD_A, P))})
+WORKED_BOXA = box_inverse(WORKED, MOD_A)
 
 
 class TestSatSet:
@@ -191,21 +194,21 @@ def chain_graph(monkeypatch, edges):
     Window i has an empty, satisfiable head and a second part naming i.
     """
     def win(i):
-        return Window(WORKED, (frozenset(), frozenset({Atom(f"w{i}")})))
+        return (frozenset(), frozenset({Atom(f"w{i}")}))
 
     succ = {}
     for a, b in edges:
-        succ.setdefault(win(a).parts, []).append(win(b))
-    monkeypatch.setattr(windows_mod, "continuations", lambda w, *_: iter(succ.get(w.parts, ())))
+        succ.setdefault(win(a), []).append(win(b))
+    monkeypatch.setattr(windows_mod, "continuations", lambda boxa, parts, *_: iter(succ.get(parts, ())))
     return win(0)
 
 
 class TestWindowChain:
     def test_worked_chain_accepts_in_both_modes(self):
         # The lasso search and the paper's counter walk both accept it.
-        start = next(iter(initial_windows(WORKED, Not(P))))
-        assert lasso_window_chain(start)
-        assert reference_window_chain(start, None)
+        start = next(anchor_windows(WORKED, Not(P)))
+        assert lasso_window_chain(WORKED_BOXA, start)
+        assert reference_window_chain(WORKED_BOXA, start, None)
 
     def test_matches_reference_counter_walk(self):
         # Every initial window of every anchor among the saturations of the
@@ -221,13 +224,13 @@ class TestWindowChain:
         )
         compared = large = 0
         for members in anchors:
-            _, _, diamonds_a, _, _ = _modal_part(members)
+            boxa, _, diamonds_a, _, degree = _modal_part(members)
             for body in diamonds_a:
-                for start in initial_windows(members, Not(body)):
-                    got = lasso_window_chain(start)
-                    assert got == reference_window_chain(start, None), members
+                for start in initial_windows(boxa, degree, Not(body)):
+                    got = lasso_window_chain(boxa, start)
+                    assert got == reference_window_chain(boxa, start, None), members
                     for budget in (0, 1, 2, 3):
-                        assert reference_window_chain(start, budget) or not got, (members, budget)
+                        assert reference_window_chain(boxa, start, budget) or not got, (members, budget)
                     compared += 1
                     large += counter_bound(members) > 2 ** 16
         assert (len(anchors), compared, large) == (2098, 226, 160)
@@ -237,16 +240,16 @@ class TestWindowChain:
         # three windows.  Four windows are reachable, so the default budget
         # is five, where counter_bound(WORKED) is 4096.
         start = chain_graph(monkeypatch, [(0, 1), (1, 2), (0, 3)])
-        assert CounterSearch().chain_budget(start) == 5
+        assert CounterSearch().chain_budget(WORKED_BOXA, start) == 5
         for budget, accepts in [(0, True), (1, True), (2, True), (3, True), (4, False), (None, False)]:
-            assert reference_window_chain(start, budget) is accepts
-        assert not lasso_window_chain(start)
+            assert reference_window_chain(WORKED_BOXA, start, budget) is accepts
+        assert not lasso_window_chain(WORKED_BOXA, start)
 
     def test_a_lasso_meets_every_budget(self, monkeypatch):
         start = chain_graph(monkeypatch, [(0, 1), (1, 2), (2, 1)])
-        assert lasso_window_chain(start)
+        assert lasso_window_chain(WORKED_BOXA, start)
         for budget in (0, 1, 2, 3, 4, None):
-            assert reference_window_chain(start, budget)
+            assert reference_window_chain(WORKED_BOXA, start, budget)
 
     def test_a_lasso_draws_one_continuation_from_a_longer_stream(self, monkeypatch):
         # The initial window of <a>p & [a](p | q) has two continuations, and
@@ -256,25 +259,25 @@ class TestWindowChain:
         real = windows_mod.continuations
         streams = []
 
-        def counting(window, *tables):
-            drawn = [window, 0]
+        def counting(boxa, window, *tables):
+            drawn = [boxa, window, 0]
             streams.append(drawn)
-            for cont in real(window, *tables):
-                drawn[1] += 1
+            for cont in real(boxa, window, *tables):
+                drawn[2] += 1
                 yield cont
 
         monkeypatch.setattr(windows_mod, "continuations", counting)
         result = sat_set({bi("<a>p & [a](p | q)")})
         assert result.verdict == SAT and result.stats["windows"] == 2
-        [(window, drawn)] = streams
-        assert len(list(real(window))) == 2
+        [(boxa, window, drawn)] = streams
+        assert len(list(real(boxa, window))) == 2
         assert drawn == 1
 
     def test_unsat_head_fails(self):
         # Anchor for ~(…axiom…): the only window demands p and ~p together.
         phi = bi("~([a][b]p -> [a]p)")
         w = saturation_family(frozenset({phi}))[0]
-        starts = list(initial_windows(w, Not(bi("p"))))
+        starts = list(anchor_windows(w, Not(bi("p"))))
         assert starts == []
 
 
@@ -403,6 +406,87 @@ class TestStreamedFamilies:
             phi = chained_formula(rng, rng.choice((4, 6, 8)), ["p", "q"])
             chained += self.agree(phi, memo) > 0
         assert chained >= 900
+
+
+class TestOneStackPerDiamond:
+    """lasso_chain keeps a diamond's stream of initial windows at the bottom
+    of its one stack.  The former search (CachedSearch.lasso_chain in
+    tests/counter_reference.py) searched each start's chains in a loop of
+    its own.  In these chained_formula draws over p and q at budget 12, a
+    diamond's first initial window has a satisfiable head but no accepted
+    chain, and a later one is accepted: same verdict, byte-identical
+    witness and same stats."""
+
+    # rng seed: (windows entered, initial windows the diamond draws)
+    DRAWS = {7460: (12, 5), 16079: (6, 2)}
+
+    @pytest.mark.parametrize("seed", sorted(DRAWS))
+    def test_a_later_start_is_accepted(self, monkeypatch, seed):
+        windows, drawn = self.DRAWS[seed]
+        phi = chained_formula(random.Random(seed), 12, ["p", "q"])
+        real = CachedSearch.lasso_chain
+        calls = []
+
+        def recording(search, boxa, starts, depth):
+            seen = []
+
+            def stream():
+                for start in starts:
+                    seen.append(start)
+                    yield start
+
+            chain = real(search, boxa, stream(), depth)
+            calls.append((seen, chain))
+            return chain
+
+        monkeypatch.setattr(CachedSearch, "lasso_chain", recording)
+        want = cached_sat_set({phi})
+        got = sat_set({phi})
+        [(starts, chain)] = [call for call in calls if len(call[0]) > 1]
+        assert chain is not None and len(starts) == drawn
+        assert _Search().sat_members(starts[0][0], 1) is not None
+        assert got.verdict == want.verdict == SAT
+        assert model_json_text(got.witness) == model_json_text(want.witness)
+        assert got.stats == want.stats
+        assert got.stats["windows"] == windows
+
+
+class TestReferencesKeepTheirLoops:
+    """Each reference replaces a loop of the solver's search with its former
+    one, so that no differential test compares the search with itself: the
+    solver's loop must not run under a reference, and the override must."""
+
+    FORMULA = "<a>(p & q) & [a]<b>r"
+    CASES = {
+        "cached": (cached_sat_set, "lasso_chain", [(CachedSearch, "lasso_chain")]),
+        "counter": (
+            reference_sat_set,
+            "lasso_chain",
+            [(CachedSearch, "lasso_chain"), (CounterSearch, "start_chain")],
+        ),
+        "tuple_family": (tuple_family_sat_set, "first", [(TupleFamilySearch, "first")]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_override_runs_instead(self, monkeypatch, case):
+        solve, replaced, overrides = self.CASES[case]
+
+        def solver_loop(*args):
+            raise AssertionError(f"the reference ran _Search.{replaced}")
+
+        monkeypatch.setattr(_Search, replaced, solver_loop)
+        ran = set()
+        for cls, name in overrides:
+            own = cls.__dict__[name]
+
+            def counted(search, *args, own=own, name=name):
+                ran.add(name)
+                return own(search, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        result = solve({bi(self.FORMULA)})
+        assert result.verdict == SAT and result.stats["windows"] > 0
+        assert ran == {name for _, name in overrides}
 
 
 class TestCraftedWork:

@@ -25,13 +25,10 @@ INTERNALS = (
     "saturations",
     "saturation_family",
     "is_saturation_of",
-    "Window",
     "initial_windows",
     "continuations",
-    "is_window",
     "Trace",
     "ChainWitness",
-    "SatStats",
     "extract_model",
 )
 

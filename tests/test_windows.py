@@ -18,8 +18,8 @@ from densemodal import (
 )
 from densemodal import windows as windows_module
 from densemodal.saturation import is_saturation_of, saturations
-from densemodal.windows import continuations, initial_windows, is_window
-from conftest import random_formula
+from densemodal.windows import continuations
+from conftest import anchor_windows, is_window, random_formula
 import rule_reference as reference
 
 P, Q = Atom("p"), Atom("q")
@@ -32,6 +32,7 @@ def saturation_of(*formulas):
 
 
 WORKED_ANCHOR = saturation_of(Box(MOD_A, Q), Not(Box(MOD_A, P)))
+WORKED_BOXA = box_inverse(WORKED_ANCHOR, MOD_A)
 
 
 def _random_anchors(rng, trials):
@@ -55,28 +56,27 @@ def _random_anchors(rng, trials):
 
 class TestInitialWindows:
     def test_worked_example(self):
-        got = list(initial_windows(WORKED_ANCHOR, Not(P)))
-        assert [t.parts for t in got] == [
+        got = list(anchor_windows(WORKED_ANCHOR, Not(P)))
+        assert got == [
             (frozenset({Not(P), Q}), frozenset({Q})),
         ]
-        assert got[0].seed_extra == Not(P)
-        assert got[0].k == 1
+        assert len(got[0]) == set_degree(WORKED_ANCHOR) + 1
 
     def test_bare_diamond(self):
         anchor = saturation_of(Not(Box(MOD_A, P)))
-        got = list(initial_windows(anchor, Not(P)))
-        assert [t.parts for t in got] == [(frozenset({Not(P)}), frozenset())]
+        got = list(anchor_windows(anchor, Not(P)))
+        assert got == [(frozenset({Not(P)}), frozenset())]
 
     def test_degree_zero_anchor_rejected(self):
         with pytest.raises(ValueError):
-            list(initial_windows(saturation_of(P), Not(P)))
+            list(anchor_windows(saturation_of(P), Not(P)))
 
     def test_clashing_body_gives_empty_stream(self):
         from densemodal import And
 
         # body ~(p & p) forces ~p next to the p coming from the anchor's box
         anchor = saturation_of(Box(MOD_A, P), Not(Box(MOD_A, And(P, P))))
-        assert list(initial_windows(anchor, Not(And(P, P)))) == []
+        assert list(anchor_windows(anchor, Not(And(P, P)))) == []
 
     def test_clashing_anchor_is_not_a_saturation(self):
         bad = frozenset({Box(MOD_A, P), Not(Box(MOD_A, P))})
@@ -86,50 +86,49 @@ class TestInitialWindows:
         rng = random.Random(103)
         checked = 0
         for anchor, body in _random_anchors(rng, 800):
-            for t in initial_windows(anchor, body):
+            for t in anchor_windows(anchor, body):
                 checked += 1
-                assert is_window(t.parts, anchor, t.seed_extra)
-                assert len(t.parts) == set_degree(anchor) + 1
+                assert is_window(t, box_inverse(anchor, MOD_A), body)
+                assert len(t) == set_degree(anchor) + 1
         assert checked > 30
 
 
 class TestContinuations:
     def test_worked_example(self):
-        start = next(iter(initial_windows(WORKED_ANCHOR, Not(P))))
-        got = list(continuations(start))
-        assert [t.parts for t in got] == [(frozenset({Q}), frozenset({Q}))]
-        assert got[0].seed_extra is None
+        start = next(anchor_windows(WORKED_ANCHOR, Not(P)))
+        got = list(continuations(WORKED_BOXA, start))
+        assert got == [(frozenset({Q}), frozenset({Q}))]
 
     def test_self_continuing_window(self):
-        loop = next(iter(continuations(next(iter(initial_windows(WORKED_ANCHOR, Not(P)))))))
-        again = list(continuations(loop))
-        assert [t.parts for t in again] == [loop.parts]
+        loop = next(continuations(WORKED_BOXA, next(anchor_windows(WORKED_ANCHOR, Not(P)))))
+        again = list(continuations(WORKED_BOXA, loop))
+        assert again == [loop]
 
     def test_empty_boxes_continue_with_empty_parts(self):
         anchor = saturation_of(Not(Box(MOD_A, P)))
-        start = next(iter(initial_windows(anchor, Not(P))))
-        got = list(continuations(start))
-        assert [t.parts for t in got] == [(frozenset(), frozenset())]
+        start = next(anchor_windows(anchor, Not(P)))
+        got = list(continuations(box_inverse(anchor, MOD_A), start))
+        assert got == [(frozenset(), frozenset())]
 
     def test_merged_tuple_is_a_longer_window(self):
         rng = random.Random(107)
         checked = 0
         for anchor, body in _random_anchors(rng, 800):
-            for start in initial_windows(anchor, body):
-                for cont in continuations(start):
-                    merged = (start.parts[0],) + cont.parts
-                    assert is_window(merged, anchor, start.seed_extra)
+            boxa = box_inverse(anchor, MOD_A)
+            for start in anchor_windows(anchor, body):
+                for cont in continuations(boxa, start):
+                    merged = (start[0],) + cont
+                    assert is_window(merged, boxa, body)
                     checked += 1
         assert checked > 30
 
     def test_part_degrees_and_size_bounds(self):
-        start = next(iter(initial_windows(WORKED_ANCHOR, Not(P))))
-        boxa = box_inverse(WORKED_ANCHOR, MOD_A)
-        for i, part in enumerate(start.parts):
+        start = next(anchor_windows(WORKED_ANCHOR, Not(P)))
+        for i, part in enumerate(start):
             assert set_degree(part) <= set_degree(WORKED_ANCHOR) - 1
-            seed = set(boxa)
-            if i + 1 < len(start.parts):
-                seed |= box_inverse(start.parts[i + 1], MOD_B)
+            seed = set(WORKED_BOXA)
+            if i + 1 < len(start):
+                seed |= box_inverse(start[i + 1], MOD_B)
             if i == 0:
                 seed.add(Not(P))
             assert part <= csf(seed)
@@ -138,14 +137,14 @@ class TestContinuations:
 class TestIsWindow:
     def test_worked_positive(self):
         assert is_window(
-            (frozenset({Not(P), Q}), frozenset({Q})), WORKED_ANCHOR, Not(P)
+            (frozenset({Not(P), Q}), frozenset({Q})), WORKED_BOXA, Not(P)
         )
 
     def test_continuation_is_a_window_without_extra(self):
-        assert is_window((frozenset({Q}), frozenset({Q})), WORKED_ANCHOR)
+        assert is_window((frozenset({Q}), frozenset({Q})), WORKED_BOXA)
 
     def test_wrong_first_part(self):
-        assert not is_window((frozenset({P}), frozenset({Q})), WORKED_ANCHOR)
+        assert not is_window((frozenset({P}), frozenset({Q})), WORKED_BOXA)
 
 
 class TestShiftedSeedTest:
@@ -159,27 +158,28 @@ class TestShiftedSeedTest:
         real = windows_module.continuations
         yielded = []
 
-        def recording(window, *tables):
-            for cont in real(window, *tables):
-                yielded.append(cont)
+        def recording(boxa, parts, *tables):
+            for cont in real(boxa, parts, *tables):
+                yielded.append((boxa, cont))
                 yield cont
 
         monkeypatch.setattr(windows_module, "continuations", recording)
         result = sat_set({parse(text, "bimodal") for text in self.FORMULAS})
         assert yielded
-        assert all(is_window(cont.parts, cont.anchor) for cont in yielded)
+        assert all(is_window(cont, boxa) for boxa, cont in yielded)
         assert result.stats == {"max_depth": 2, "saturations": 4, "windows": 6}
 
 
-def continuations_by_definition(window):
-    """Every continuation of a window, found by brute force.
+def continuations_by_definition(boxa, window):
+    """Every continuation of a window over an anchor with a-box bodies boxa,
+    found by brute force.
 
     Parts are chosen right to left, and each is any subset of its chain
     seed's closure that the reference membership test accepts as a
     saturation of both the chain seed and the shifted seed.  Neither the
     package's saturation search nor its membership test is used.
     """
-    boxa = box_inverse(window.anchor, MOD_A)
+    k = len(window) - 1
 
     def saturations_of_both(seed, shifted):
         closure = sorted(reference.csf(seed), key=sort_key)
@@ -194,15 +194,15 @@ def continuations_by_definition(window):
         if j == 0:
             found.add(suffix)
             return
-        if j == window.k + 1:
+        if j == k + 1:
             seed = shifted = boxa
         else:
             boxb_next = box_inverse(suffix[0], MOD_B)
-            seed, shifted = boxb_next | window.parts[j], boxa | boxb_next
+            seed, shifted = boxb_next | window[j], boxa | boxb_next
         for cand in saturations_of_both(frozenset(seed), frozenset(shifted)):
             choose(j - 1, (cand,) + suffix)
 
-    choose(window.k + 1, ())
+    choose(k + 1, ())
     return found
 
 
@@ -219,16 +219,16 @@ class TestEveryContinuation:
     @pytest.mark.parametrize("text", FORMULAS)
     def test_matches_the_brute_force_enumeration(self, text):
         (anchor,) = saturations({parse(text, "bimodal")})
-        frontier = list(initial_windows(anchor, Not(Not(P))))
+        boxa = box_inverse(anchor, MOD_A)
+        frontier = list(anchor_windows(anchor, Not(Not(P))))
         seen = set()
         while frontier:
             window = frontier.pop()
-            if window.parts in seen:
+            if window in seen:
                 continue
-            seen.add(window.parts)
-            got = list(continuations(window))
-            parts = [cont.parts for cont in got]
-            assert len(parts) == len(set(parts)) == 2
-            assert set(parts) == continuations_by_definition(window)
+            seen.add(window)
+            got = list(continuations(boxa, window))
+            assert len(got) == len(set(got)) == 2
+            assert set(got) == continuations_by_definition(boxa, window)
             frontier.extend(got)
         assert len(seen) == 8
