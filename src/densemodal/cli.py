@@ -10,9 +10,9 @@ or --oracle-worlds, and a translate --fresh guard that is not an atom name
 are usage errors (64).  solve --logic kde is exponential in the free bits
 (atom and box subformulas) and refuses more than kde.FREE_BIT_LIMIT (12)
 with exit 64: with --stats --model, 8, 10 and 12 free bits measured
-0.2-0.3 s, 1.7-2.2 s and 33 s of wall time with 24 MB, 104 MB and 0.9 GB
-peak memory on a shared 2-vCPU host, and each further bit quadruples the
-work.
+0.16-0.20 s, 1.0-1.2 s and 20-21 s of wall time with 21 MB, 73 MB and
+0.68 GB peak memory on a shared 2-vCPU host, and each further bit
+quadruples the work.
 
 solve --logic kdeab accepts a window chain at its first repeated window.
 Fewer than 2**(M*(d+1)) windows exist over an anchor with M closure

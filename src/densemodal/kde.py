@@ -16,8 +16,9 @@ set the body of each box it sets, so profiles that set the same boxes
 share one successor list.  Refinement keeps the input's edge tuples and
 tests midpoints by reach: x's two-step reach depends only on x's
 successor set, so each distinct successor set gets one reach and an edge
-(x, y) survives when y is in it.  Since refinement only removes, equal
-profile and edge counts mark the fixpoint.
+(x, y) survives when y is in it.  A round that keeps every profile, and
+finds every successor set within its own reach, removes nothing: it
+returns its input object, and that marks the fixpoint.
 
 Validity is satisfiability of the negation.  The index of ~phi is phi's
 index plus ~phi itself, which adds no free bit, so its profiles are phi's
@@ -56,7 +57,7 @@ Profile = tuple[int, ...]
 # Free bits live at atom and box positions; the profile count is 2**free
 # and the initial edge count up to 4**free.  Each further bit quadruples the
 # work: the 12-bit ladder rung (4,096 profiles, 4,515,840 edges) answers in
-# about 33 s with a 0.9 GB peak on a shared 2-vCPU host, both set by the
+# about 20 s with a 0.68 GB peak on a shared 2-vCPU host, both set by the
 # fixpoint, so 13 bits could not answer in any time a caller would wait.
 FREE_BIT_LIMIT = 12
 
@@ -164,7 +165,11 @@ def refine_frame(frame: ProfileFrame, ix: SubformulaIndex) -> ProfileFrame:
     computed once per distinct successor set among the survivors.  In a
     frame reached from `initial_frame`, profiles with the same box
     requirements still have the same successors, so that is once per
-    requirement group.  Surviving edges are the input's own tuples.
+    requirement group.  Surviving edges are the input's own tuples.  When
+    every profile survives and every distinct successor set lies within
+    its reach, no edge is removed either, and the input frame itself is
+    returned without rebuilding anything; otherwise the result is a new
+    frame.
     """
     succ: dict[Profile, set[Profile]] = {p: set() for p in frame.profiles}
     for x, y in frame.rel:
@@ -185,6 +190,8 @@ def refine_frame(frame: ProfileFrame, ix: SubformulaIndex) -> ProfileFrame:
         if successors not in by_successors:
             by_successors[successors] = set().union(*[succ[z] for z in successors]) & keep
         reach[x] = by_successors[successors]
+    if len(keep) == len(frame.profiles) and all(s <= r for s, r in by_successors.items()):
+        return frame
     rel = frozenset(edge for edge in frame.rel if edge[1] in reach.get(edge[0], ()))
     return ProfileFrame(frozenset(keep), rel)
 
@@ -192,12 +199,12 @@ def refine_frame(frame: ProfileFrame, ix: SubformulaIndex) -> ProfileFrame:
 def fixpoint(phi: Formula, ix: Optional[SubformulaIndex] = None) -> tuple[ProfileFrame, int]:
     """Iterate refinement to stability; returns the frame and the step count.
 
-    The step count is the least k with refine^(k+1) == refine^k.
-    Refinement only removes profiles and edges, so a refined frame with as
-    many profiles and edges as its input equals it.  The resulting frame is
-    never empty; emptiness would invalidate the whole procedure, so it is
-    checked on every run.  `ix` is phi's index when the caller has already
-    built it.
+    The step count is the least k with refine^(k+1) == refine^k, so
+    refine_frame runs k + 1 times.  refine_frame returns its input object
+    exactly when it removes nothing, so the loop stops on identity.  The
+    resulting frame is never empty; emptiness would invalidate the whole
+    procedure, so it is checked on every run.  `ix` is phi's index when the
+    caller has already built it.
     """
     if ix is None:
         ix = build_index(phi)
@@ -205,7 +212,7 @@ def fixpoint(phi: Formula, ix: Optional[SubformulaIndex] = None) -> tuple[Profil
     iterations = 0
     while True:
         refined = refine_frame(frame, ix)
-        if len(refined.profiles) == len(frame.profiles) and len(refined.rel) == len(frame.rel):
+        if refined is frame:
             break
         frame = refined
         iterations += 1

@@ -6,9 +6,10 @@ throw-away set per edge for its midpoint test, and `fixpoint` compared
 whole frames to detect stability.  The kde module now computes one
 successor list per set of box requirements, keeps the input's edge
 tuples, computes one two-step reach per distinct successor set and keeps
-an edge when its head lies in its tail's reach, and stops on equal
-counts; the differential tests compare it against the functions below,
-on the fixpoint path and on random sub-frames of initial frames.
+an edge when its head lies in its tail's reach, returns its input object
+from a round that removes nothing, and stops at that round; the
+differential tests compare it against the functions below, on the
+fixpoint path and on random sub-frames of initial frames.
 """
 
 from densemodal import InvariantError

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -363,7 +364,74 @@ class TestReferenceAgreement:
                     if edge[0] in kept and edge[1] in kept and rng.random() >= 0.3
                 )
                 frame = ProfileFrame(kept, rel)
+                # Refine on to the sub-frame's own fixpoint.  Each round keeps
+                # the input's edge tuples, and returns its input exactly when
+                # the reference removes nothing.
+                while True:
+                    expected = reference.refine_frame(frame, ix)
+                    refined = refine_frame(frame, ix)
+                    assert refined == expected, phi
+                    originals = {edge: edge for edge in frame.rel}
+                    assert all(originals[edge] is edge for edge in refined.rel), phi
+                    assert (refined is frame) == (expected == frame), phi
+                    if refined is frame:
+                        break
+                    frame = refined
+
+    def test_a_round_returns_its_input_exactly_when_it_removes_nothing(self):
+        # Every round on the fixpoint path: the last returns its input
+        # object, and no earlier one does.
+        for phi in differential_corpus():
+            ix = build_index(phi)
+            frame = initial_frame(ix)
+            while True:
                 refined = refine_frame(frame, ix)
-                assert refined == reference.refine_frame(frame, ix), phi
-                originals = {edge: edge for edge in frame.rel}
-                assert all(originals[edge] is edge for edge in refined.rel), phi
+                removes_nothing = reference.refine_frame(frame, ix) == frame
+                assert (refined is frame) == removes_nothing, phi
+                if removes_nothing:
+                    break
+                frame = refined
+
+    def test_a_round_that_keeps_every_profile_can_still_drop_edges(self):
+        # Round 0 of [][]p keeps all 8 profiles but drops 4 of its 36 edges,
+        # so profile survival alone does not make a round a no-op.  Round 1
+        # removes 2 profiles and round 2 returns its input.
+        phi = parse("[][]p")
+        ix = build_index(phi)
+        frames = [initial_frame(ix)]
+        for _ in range(3):
+            frames.append(refine_frame(frames[-1], ix))
+        assert [(len(f.profiles), len(f.rel)) for f in frames] == [(8, 36), (8, 32), (6, 22), (6, 22)]
+        assert [after is before for before, after in zip(frames, frames[1:])] == [False, False, True]
+        assert frames[1] == reference.refine_frame(frames[0], ix)
+        assert fixpoint(phi, ix) == (frames[2], 2)
+
+    def test_fixpoint_refines_once_more_than_it_iterates(self, monkeypatch):
+        calls = 0
+
+        def counted(frame, ix):
+            nonlocal calls
+            calls += 1
+            return refine_frame(frame, ix)
+
+        monkeypatch.setattr(kde_module, "refine_frame", counted)
+        rng = random.Random(2031)
+        for phi in [parse("[][]p"), parse(LADDER_8)] + [random_formula(rng, 9, ["p", "q"]) for _ in range(60)]:
+            calls = 0
+            _, iterations = fixpoint(phi)
+            assert calls == iterations + 1, phi
+
+
+class TestMemory:
+    def test_ladder_8_peak_stays_under_7_mb(self):
+        # The 8-bit rung's whole solve, witness check included, read a 5.6 MB
+        # tracemalloc peak on Python 3.10-3.13; rebuilding the edge set in
+        # the fixpoint's last round, which removes nothing, read 8.2 MB.
+        phi = parse(LADDER_8)
+        tracemalloc.start()
+        try:
+            kde_sat(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7_000_000, peak

@@ -412,18 +412,39 @@ class TestOneStackPerDiamond:
     """lasso_chain keeps a diamond's stream of initial windows at the bottom
     of its one stack.  The former search (CachedSearch.lasso_chain in
     tests/counter_reference.py) searched each start's chains in a loop of
-    its own.  In these chained_formula draws over p and q at budget 12, a
-    diamond's first initial window has a satisfiable head but no accepted
-    chain, and a later one is accepted: same verdict, byte-identical
-    witness and same stats."""
+    its own.  In these chained_formula draws over p and q, a diamond's first
+    initial window has no accepted chain, and a later one is accepted: same
+    verdict, byte-identical witness and same stats.  They are every distinct
+    such draw of a scan over seeds 0-13,333 at budgets 12, 13 and 14, plus
+    seed 16079 at budget 12.  In five of them the first start's head is
+    satisfiable, so its chains are searched and fail; in the rest the head
+    itself is unsatisfiable."""
 
-    # rng seed: (windows entered, initial windows the diamond draws)
-    DRAWS = {7460: (12, 5), 16079: (6, 2)}
+    # (budget, rng seed): (windows entered, initial windows the diamond
+    # draws, whether the first start's head is satisfiable)
+    DRAWS = {
+        (12, 806): (4, 2, False),
+        (12, 1114): (7, 2, False),
+        (12, 5047): (4, 2, False),
+        (12, 5905): (6, 2, True),
+        (12, 7460): (12, 5, True),
+        (12, 12754): (4, 2, False),
+        (12, 16079): (6, 2, True),
+        (13, 1114): (8, 3, False),
+        (13, 4873): (4, 2, False),
+        (13, 7460): (9, 2, True),
+        (13, 8412): (5, 2, False),
+        (14, 7460): (9, 2, True),
+        (14, 9209): (4, 2, False),
+        (14, 12293): (4, 2, False),
+        (14, 12452): (4, 2, False),
+        (14, 12754): (4, 2, False),
+    }
 
-    @pytest.mark.parametrize("seed", sorted(DRAWS))
-    def test_a_later_start_is_accepted(self, monkeypatch, seed):
-        windows, drawn = self.DRAWS[seed]
-        phi = chained_formula(random.Random(seed), 12, ["p", "q"])
+    @pytest.mark.parametrize("budget, seed", sorted(DRAWS))
+    def test_a_later_start_is_accepted(self, monkeypatch, budget, seed):
+        windows, drawn, head_sat = self.DRAWS[budget, seed]
+        phi = chained_formula(random.Random(seed), budget, ["p", "q"])
         real = CachedSearch.lasso_chain
         calls = []
 
@@ -444,7 +465,7 @@ class TestOneStackPerDiamond:
         got = sat_set({phi})
         [(starts, chain)] = [call for call in calls if len(call[0]) > 1]
         assert chain is not None and len(starts) == drawn
-        assert _Search().sat_members(starts[0][0], 1) is not None
+        assert (_Search().sat_members(starts[0][0], 1) is not None) == head_sat
         assert got.verdict == want.verdict == SAT
         assert model_json_text(got.witness) == model_json_text(want.witness)
         assert got.stats == want.stats
