@@ -5,6 +5,7 @@ import os
 import pickle
 import random
 import time
+from functools import lru_cache
 
 import pytest
 
@@ -36,11 +37,13 @@ from densemodal.oracle import (
     ModelTables,
     _dense_relations,
     _frames,
+    _generators,
     _relations,
     _succ_masks,
     _weakly_dense_pairs,
 )
 from conftest import random_formula
+from oracle_reference import first_models
 import rule_reference as reference
 
 P, Q = Atom("p"), Atom("q")
@@ -267,6 +270,24 @@ def frames(rng):
                 yield KripkeModel(list(range(n)), ra, rb, {}, 0)
 
 
+@lru_cache(maxsize=None)
+def generating_worlds(n, mask):
+    """The worlds that reach every world through the relation with this mask, by walking its edges."""
+    edges = [(s, t) for s in range(n) for t in range(n) if mask >> (s * n + t) & 1]
+    return {w for w in range(n) if reached(w, edges) == set(range(n))}
+
+
+def reached(world, edges):
+    seen, todo = {world}, [world]
+    while todo:
+        s = todo.pop()
+        for a, t in edges:
+            if a == s and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
 class TestFrameClasses:
     def test_density_matches_reference(self):
         seen = set()
@@ -278,17 +299,20 @@ class TestFrameClasses:
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_mask_tables_match_reference(self):
-        # The oracle's frame tables hold successor masks, the reference's
-        # relation masks; mapping the latter through _succ_masks must give
-        # the same frames in the same order.
+        # The oracle's frame tables hold successor masks, or relation masks
+        # that index _relations(n); the reference's hold relation masks.  The
+        # weakly dense pairs and _frames must give the reference's frames in
+        # the same order, less those in which no world reaches every world.
         for n in (1, 2, 3):
             def succ(mask, n=n):
                 return _succ_masks(n, mask)
 
             assert _relations(n) == tuple(map(succ, range(1 << (n * n))))
-            assert _dense_relations(n) == tuple(map(succ, reference.dense_masks(n)))
+            assert _dense_relations(n) == reference.dense_masks(n)
             assert _weakly_dense_pairs(n) == tuple(
-                (succ(ra), succ(rb)) for ra, rb in reference.weakly_dense_mask_pairs(n)
+                (succ(ra), succ(rb))
+                for ra, rb in reference.weakly_dense_mask_pairs(n)
+                if generating_worlds(n, ra | rb)
             )
             for frame_class in (ALL, DENSE, WEAKLY_DENSE):
                 for bimodal in (False, True):
@@ -296,8 +320,18 @@ class TestFrameClasses:
                     want = [
                         (succ(ra), succ(rb))
                         for ra, rb in reference.frame_masks(n, frame_class, bimodal)
+                        if generating_worlds(n, ra | rb)
                     ]
                     assert got == want, (n, frame_class, bimodal)
+
+    def test_generator_table_matches_a_walk(self):
+        for n in (1, 2, 3):
+            assert _generators(n) == tuple(
+                sum(1 << w for w in generating_worlds(n, m)) for m in range(1 << (n * n))
+            )
+        table = _generators(4)
+        for m in random.Random(67).sample(range(1 << 16), 2000):
+            assert table[m] == sum(1 << w for w in generating_worlds(4, m)), m
 
     def test_empty_relation_is_dense(self):
         assert is_dense(single_world())
@@ -358,6 +392,36 @@ class TestBoundedSearch:
             bounded_search({parse("p")}, "all", 9, 1)
         with pytest.raises(ValueError):
             bounded_search({parse("p & q & r", "unimodal")}, "all", 3, 2)
+
+
+# Its smallest model has four worlds: a root and three successors.
+FOUR_WORLDS = "~p & ~q & <>(~p & q) & <>(p & ~q) & <>(p & q)"
+
+# (formulas, frame classes, max_worlds) on which bounded_search must return
+# what the search over every frame returns.
+GENERATED_CASES = {
+    "one-atom": (lambda: all_formulas(6, ["p"]), (DENSE, ALL), 3),
+    "one-atom-bimodal": (lambda: all_formulas(5, ["p"], (MOD_A, MOD_B)), (WEAKLY_DENSE, ALL), 2),
+    "two-atoms": (lambda: all_formulas(5, ["p", "q"])[::3], (DENSE,), 3),
+    "four-worlds": (lambda: [parse(FOUR_WORLDS)], (ALL, DENSE), 4),
+}
+
+
+class TestGeneratedFrames:
+    @pytest.mark.parametrize("case", GENERATED_CASES)
+    def test_first_model_matches_the_search_over_every_frame(self, case):
+        formulas, classes, max_worlds = GENERATED_CASES[case]
+        for phi in formulas():
+            want = first_models({phi}, classes, max_worlds)
+            for frame_class in classes:
+                got = bounded_search({phi}, frame_class, max_worlds, 2)
+                expected = want[frame_class]
+                assert (got is None) == (expected is None), (frame_class, phi)
+                if got is not None:
+                    assert model_json_text(got) == model_json_text(expected), (frame_class, phi)
+                    assert reached(got.root, [*got.ra, *got.rb]) == set(got.worlds), (frame_class, phi)
+                    if case == "four-worlds":
+                        assert len(got.worlds) == 4
 
 
 class TestKValidity:
