@@ -35,7 +35,8 @@ recursion above it, as in the paper's tableau.  The memo is keyed
 on modal parts, and a hit reuses the cached children under the set's own
 members, so the witness is the one a search without it would build.
 Saturation families are streams too: the search draws a family's members
-one at a time and stops at the first satisfiable one.
+one at a time and stops at the first satisfiable one, and the windows
+module draws each window part's family the same way.
 
 Every SAT verdict is converted into an explicit finite model (worlds are
 the distinct saturations the accepted search touched, chains close their
@@ -52,9 +53,6 @@ from typing import Iterable, Iterator, Optional
 
 from .formula import Atom, Box, Formula, MOD_A, Not, sort_key
 from .oracle import WEAKLY_DENSE, KripkeModel, verify
-# kdeab does not call these; densebench/layers.py wraps them as kdeab call sites.
-from .oracle import is_weakly_dense, model_check  # noqa: F401
-from .saturation import saturation_family  # noqa: F401
 from .saturation import Tables, saturations
 from . import windows as _windows
 

@@ -32,16 +32,16 @@ each other, which grow exponentially with their number (`_branches` gives
 the argument).  It first tests the seed against the same clash table: a
 clashing seed ends the search at once, and from a clash-free seed no move
 adds a clash, so no other clash test is needed.  Enumeration reads every
-finished branch of that search; the membership test runs it restricted to
-the candidate and accepts when it finishes on the candidate.  The
-disjunction rule is blocked once one of its two targets is present, so
-branches never pad themselves with underived material.  An inconsistent
-seed has no saturations at all; callers treat the empty stream as the
-failed branch.
+finished branch of that search; the membership test, a function of the
+candidate that `saturation_test` returns, runs it restricted to the
+candidate and accepts when it finishes on the candidate.  The disjunction
+rule is blocked once one of its two targets is present, so branches never
+pad themselves with underived material.  An inconsistent seed has no
+saturations at all; callers treat the empty stream as the failed branch.
 
-A saturation is its member set, a frozenset of formulas: `saturations`
-yields the finished branches as they come, and `saturation_family` is the
-tuple of them, so a family is a tuple of member sets.
+A saturation is its member set, a frozenset of formulas.  A seed's family
+is the stream `saturations` returns: each finished branch is drawn when
+the caller asks for the next one, and no tuple of a whole family is built.
 """
 
 from __future__ import annotations
@@ -232,31 +232,22 @@ def saturations(
     The yield order is deterministic.  Yields nothing when the seed is
     classically inconsistent.  tables, when given, is the caller's
     per-solve `Tables`: the seed's table is read from it, or built and
-    kept there.
+    kept there.  The stream is `_branches`' own generator.
     """
     seed = frozenset(seed)
     _, table = _seed_table(seed, tables)
-    yield from _branches(seed, table)
-
-
-def saturation_family(
-    seed: frozenset[Formula], tables: Optional[Tables] = None
-) -> tuple[frozenset[Formula], ...]:
-    """Every saturation of the seed, in the order saturations() yields them.
-
-    The family is enumerated on every call; only the seed's table is
-    shared, through tables, across the calls of one solve.
-    """
-    return tuple(saturations(seed, tables))
+    return _branches(seed, table)
 
 
 def saturation_test(
     seed: Iterable[Formula], tables: Optional[Tables] = None
 ) -> Callable[[Iterable[Formula]], bool]:
-    """`is_saturation_of(candidate, seed)` as a function of the candidate.
+    """The membership test of the seed's family, as a function of a candidate.
 
-    The seed's closure and rule table are read from tables, or built
-    once, here, for all the candidates tested against the same seed.
+    It accepts when seed <= candidate <= csf(seed) and the branch search
+    from seed, restricted to the candidate's members, finishes on it; that
+    search only finishes on clash-free sets no rule applies to.  The seed's
+    closure and table are read from tables, or built once, here.
     """
     seed = frozenset(seed)
     closure, table = _seed_table(seed, tables)
@@ -269,14 +260,3 @@ def saturation_test(
 
     return test
 
-
-def is_saturation_of(candidate: Iterable[Formula], seed: Iterable[Formula]) -> bool:
-    """Decide whether candidate is a saturation of seed.
-
-    Checks the containment bounds seed <= candidate <= csf(seed) and that
-    the branch search from seed, restricted to candidate's members,
-    finishes on it.  That search only finishes on clash-free sets no rule
-    applies to, so neither closedness nor clash-freeness needs a test of
-    its own.
-    """
-    return saturation_test(seed)(candidate)

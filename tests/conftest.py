@@ -1,7 +1,7 @@
 import random
 
 from densemodal import And, Atom, Box, FALSUM, MOD_A, MOD_B, Not, box_inverse, diamond, set_degree
-from densemodal.saturation import is_saturation_of
+from window_reference import is_saturation_of
 from densemodal.windows import initial_windows
 
 
@@ -67,10 +67,10 @@ MODAL_CHAINS = {
 }
 
 
-def anchor_windows(anchor, body, tables=None):
+def anchor_windows(anchor, body):
     """The initial windows of a saturated anchor's diamond body: the windows
     module's stream, given the anchor's a-box bodies and degree."""
-    return initial_windows(box_inverse(anchor, MOD_A), set_degree(anchor), body, tables)
+    return initial_windows(box_inverse(anchor, MOD_A), set_degree(anchor), body, {})
 
 
 def is_window(parts, boxa, first_seed_extra=None) -> bool:

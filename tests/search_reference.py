@@ -19,8 +19,8 @@ from typing import Optional
 import densemodal.windows as _windows
 from densemodal import Box, Formula, MOD_A, MOD_B, Not, SatResult, box_inverse, set_degree, sort_key
 from densemodal.kdeab import Trace, _Search
-from densemodal.saturation import saturation_family
 from counter_reference import _solve
+from window_reference import saturation_family
 
 
 def _diamond_bodies(members: frozenset[Formula], modality: str) -> list[Formula]:

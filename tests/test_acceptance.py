@@ -42,9 +42,9 @@ from densemodal import (
 )
 from densemodal.errors import InvariantError
 from densemodal.kde import frame_model
-from densemodal.saturation import is_saturation_of, saturation_family
 from conftest import is_window, random_formula
 from counter_reference import CounterSearch, reference_sat_set
+from window_reference import is_saturation_of, saturation_family
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -26,7 +26,6 @@ from densemodal import (
 )
 from densemodal.formula import MAX_DEPTH
 from densemodal.kdeab import _Search, _modal_part
-from densemodal.saturation import saturation_family
 from densemodal.windows import initial_windows
 from conftest import MODAL_CHAINS, anchor_windows, chained_formula, random_formula
 from counter_reference import (
@@ -40,6 +39,7 @@ from counter_reference import (
 )
 import rule_reference
 from search_reference import TupleFamilySearch, tuple_family_sat_set
+from window_reference import saturation_family
 
 P, Q = Atom("p"), Atom("q")
 
@@ -226,7 +226,7 @@ class TestWindowChain:
         for members in anchors:
             boxa, _, diamonds_a, _, degree = _modal_part(members)
             for body in diamonds_a:
-                for start in initial_windows(boxa, degree, Not(body)):
+                for start in initial_windows(boxa, degree, Not(body), {}):
                     got = lasso_window_chain(boxa, start)
                     assert got == reference_window_chain(boxa, start, None), members
                     for budget in (0, 1, 2, 3):
@@ -270,7 +270,7 @@ class TestWindowChain:
         result = sat_set({bi("<a>p & [a](p | q)")})
         assert result.verdict == SAT and result.stats["windows"] == 2
         [(boxa, window, drawn)] = streams
-        assert len(list(real(boxa, window))) == 2
+        assert len(list(real(boxa, window, {}))) == 2
         assert drawn == 1
 
     def test_unsat_head_fails(self):
@@ -564,6 +564,37 @@ class TestCraftedWork:
         # child enters its own three windows.
         phi = bi("<b>(<a>p & r & (r | [b][b][b]q)) & <b>(<a>p & r)")
         assert sat_set({phi}).stats == {"max_depth": 2, "saturations": 3, "windows": 6}
+
+
+class TestStreamedWindows:
+    """The windows module draws each part's family as a stream, so a chain
+    search that accepts early never enumerates the rest of a part's family,
+    and one that fails still draws every member."""
+
+    def test_ladder_inside_a_diamond_draws_one_part(self):
+        # The first part of the first window has 2**n saturations, and the
+        # first is accepted.  Building that family whole peaked at 51.8 MB
+        # at n = 12; the smaller rung runs first, so such a search fails
+        # there before it tries 2**20.
+        for n in (12, 20):
+            phi = bi(f"<a>({sat_ladder(n)})")
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = sat_set({phi})
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.verdict == SAT
+            assert result.stats == {"max_depth": 1, "saturations": 1, "windows": 3}
+            assert peak < 2 * 1024 * 1024, f"{peak} bytes at peak at n = {n}"
+
+    def test_a_failing_diamond_draws_every_part(self):
+        # Every head needs <b>false, so each of the 2**10 first parts is
+        # drawn and refused.
+        result = sat_set({bi(f"<a>({sat_ladder(10)} & <b>false)")})
+        assert result.verdict == UNSAT
+        assert result.stats == {"max_depth": 1, "saturations": 1, "windows": 1024}
 
 
 class TestMemory:

@@ -23,8 +23,6 @@ INTERNALS = (
     "profiles",
     "refine_frame",
     "saturations",
-    "saturation_family",
-    "is_saturation_of",
     "initial_windows",
     "continuations",
     "Trace",

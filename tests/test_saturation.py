@@ -19,14 +19,10 @@ from densemodal import (
     sort_key,
 )
 from densemodal import kdeab, saturation, windows
-from densemodal.saturation import (
-    is_saturation_of,
-    saturation_family,
-    saturation_test,
-    saturations,
-)
+from densemodal.saturation import saturation_test, saturations
 from conftest import random_formula
 import rule_reference as reference
+from window_reference import is_saturation_of, saturation_family
 
 P, Q = Atom("p"), Atom("q")
 
@@ -389,8 +385,8 @@ class TestWork:
         # Every family and membership test of one solve reads its seed's
         # table from the solve's dict: each distinct seed's table is built
         # once, though the solve asks for the tables many more times.  The
-        # search asks through its saturation streams, the windows module
-        # through its tuple families and membership tests.
+        # search and the windows module both ask through saturation
+        # streams, the windows module also through membership tests.
         built = []
         build = saturation._table
 
@@ -412,7 +408,7 @@ class TestWork:
 
         monkeypatch.setattr(saturation, "_table", recording)
         counting(kdeab, "saturations")
-        counting(windows, "saturation_family")
+        counting(windows, "saturations")
         counting(windows, "saturation_test")
         result = sat_set({parse("<a>(p & q) & [a]<b>r", "bimodal")})
         assert result.stats == {"max_depth": 2, "saturations": 2, "windows": 3}

@@ -9,6 +9,7 @@ from densemodal import (
     MOD_A,
     MOD_B,
     Not,
+    all_formulas,
     box_inverse,
     csf,
     parse,
@@ -17,10 +18,12 @@ from densemodal import (
     sort_key,
 )
 from densemodal import windows as windows_module
-from densemodal.saturation import is_saturation_of, saturations
+from densemodal.saturation import saturations
 from densemodal.windows import continuations
-from conftest import anchor_windows, is_window, random_formula
+from conftest import anchor_windows, chained_formula, is_window, random_formula
 import rule_reference as reference
+import window_reference
+from window_reference import is_saturation_of
 
 P, Q = Atom("p"), Atom("q")
 
@@ -96,18 +99,18 @@ class TestInitialWindows:
 class TestContinuations:
     def test_worked_example(self):
         start = next(anchor_windows(WORKED_ANCHOR, Not(P)))
-        got = list(continuations(WORKED_BOXA, start))
+        got = list(continuations(WORKED_BOXA, start, {}))
         assert got == [(frozenset({Q}), frozenset({Q}))]
 
     def test_self_continuing_window(self):
-        loop = next(continuations(WORKED_BOXA, next(anchor_windows(WORKED_ANCHOR, Not(P)))))
-        again = list(continuations(WORKED_BOXA, loop))
+        loop = next(continuations(WORKED_BOXA, next(anchor_windows(WORKED_ANCHOR, Not(P))), {}))
+        again = list(continuations(WORKED_BOXA, loop, {}))
         assert again == [loop]
 
     def test_empty_boxes_continue_with_empty_parts(self):
         anchor = saturation_of(Not(Box(MOD_A, P)))
         start = next(anchor_windows(anchor, Not(P)))
-        got = list(continuations(box_inverse(anchor, MOD_A), start))
+        got = list(continuations(box_inverse(anchor, MOD_A), start, {}))
         assert got == [(frozenset(), frozenset())]
 
     def test_merged_tuple_is_a_longer_window(self):
@@ -116,7 +119,7 @@ class TestContinuations:
         for anchor, body in _random_anchors(rng, 800):
             boxa = box_inverse(anchor, MOD_A)
             for start in anchor_windows(anchor, body):
-                for cont in continuations(boxa, start):
+                for cont in continuations(boxa, start, {}):
                     merged = (start[0],) + cont
                     assert is_window(merged, boxa, body)
                     checked += 1
@@ -227,8 +230,61 @@ class TestEveryContinuation:
             if window in seen:
                 continue
             seen.add(window)
-            got = list(continuations(boxa, window))
+            got = list(continuations(boxa, window, {}))
             assert len(got) == len(set(got)) == 2
             assert set(got) == continuations_by_definition(boxa, window)
             frontier.extend(got)
         assert len(seen) == 8
+
+
+class TestStreamsAgainstTupleFamilies:
+    """`initial_windows` and `continuations`, which draw each part's family
+    as a stream, against their former versions in tests/window_reference.py,
+    which built each family whole as a tuple.  Every call sat_set makes is
+    recorded with the windows it drew; run to exhaustion on fresh tables,
+    the reference yields the same windows in the same order as the stream,
+    and sat_set drew a prefix of them."""
+
+    @staticmethod
+    def recorded_calls(monkeypatch, formulas):
+        calls = []
+        for name in ("initial_windows", "continuations"):
+            real = getattr(windows_module, name)
+
+            def recording(*args, real=real, name=name):
+                drawn = []
+                calls.append((real, getattr(window_reference, name), args[:-1], drawn))
+                for parts in real(*args):
+                    drawn.append(parts)
+                    yield parts
+
+            monkeypatch.setattr(windows_module, name, recording)
+        for phi in formulas:
+            sat_set({phi})
+        return calls
+
+    def check(self, monkeypatch, formulas) -> int:
+        calls = self.recorded_calls(monkeypatch, formulas)
+        for stream, former, args, drawn in calls:
+            want = list(former(*args, {}))
+            assert list(stream(*args, {})) == want, args
+            assert drawn == want[: len(drawn)], args
+        return len(calls)
+
+    def test_every_formula_of_five_nodes(self, monkeypatch):
+        formulas = all_formulas(5, ["p"], modalities=(MOD_A, MOD_B))
+        assert self.check(monkeypatch, formulas) > 150
+
+    def test_random_chained_formulas(self, monkeypatch):
+        rng = random.Random(163)
+        formulas = [
+            chained_formula(rng, rng.choice((4, 6, 8)), ["p", "q"]) for _ in range(500)
+        ]
+        assert self.check(monkeypatch, formulas) > 1000
+
+    def test_windows_with_two_continuations(self, monkeypatch):
+        # Random formulas seldom reach a part with a family of two; these
+        # reach one in every part, in initial windows and continuations.
+        texts = TestEveryContinuation.FORMULAS + ("<a>((p | q) & (p | r))",)
+        formulas = [parse(text, "bimodal") for text in texts]
+        assert self.check(monkeypatch, formulas) == 9
