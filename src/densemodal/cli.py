@@ -58,6 +58,9 @@ from .formula import (
 from .kde import kde_sat, kde_solve
 from .kdeab import SAT, sat_set
 from .oracle import KripkeModel, bounded_search, model_json_text, search_is_bimodal
+# cli does not call these; densebench/layers.py wraps them as cli call sites.
+from .kde import build_index, counter_model, fixpoint  # noqa: F401
+from .oracle import is_dense, model_check  # noqa: F401
 from .translate import fresh_atom, relativize
 
 _CORPUS_ATOMS = ("p", "q", "r", "s")

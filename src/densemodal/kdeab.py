@@ -53,6 +53,9 @@ from typing import Iterable, Iterator, Optional
 
 from .formula import Atom, Box, Formula, MOD_A, Not, sort_key
 from .oracle import WEAKLY_DENSE, KripkeModel, verify
+# kdeab does not call these; densebench/layers.py wraps them as kdeab call sites.
+from .oracle import is_weakly_dense, model_check  # noqa: F401
+from .saturation import saturation_family  # noqa: F401
 from .saturation import Tables, saturations
 from . import windows as _windows
 

@@ -32,16 +32,18 @@ each other, which grow exponentially with their number (`_branches` gives
 the argument).  It first tests the seed against the same clash table: a
 clashing seed ends the search at once, and from a clash-free seed no move
 adds a clash, so no other clash test is needed.  Enumeration reads every
-finished branch of that search; the membership test, a function of the
-candidate that `saturation_test` returns, runs it restricted to the
-candidate and accepts when it finishes on the candidate.  The disjunction
-rule is blocked once one of its two targets is present, so branches never
-pad themselves with underived material.  An inconsistent seed has no
-saturations at all; callers treat the empty stream as the failed branch.
+finished branch of that search; the membership test runs it restricted to
+the candidate and accepts when it finishes on the candidate.  The
+disjunction rule is blocked once one of its two targets is present, so
+branches never pad themselves with underived material.  An inconsistent
+seed has no saturations at all; callers treat the empty stream as the
+failed branch.
 
 A saturation is its member set, a frozenset of formulas.  A seed's family
 is the stream `saturations` returns: each finished branch is drawn when
-the caller asks for the next one, and no tuple of a whole family is built.
+the caller asks for the next one.  `saturation_family` is the same family
+as a sized view: iterating it draws a fresh stream, and only `len` reads
+the family whole.
 """
 
 from __future__ import annotations
@@ -239,15 +241,47 @@ def saturations(
     return _branches(seed, table)
 
 
+class _Family:
+    """A seed's family: each iteration is a fresh stream until `len` has
+    enumerated it whole, and then both read the members kept from that."""
+
+    __slots__ = ("seed", "tables", "members")
+
+    def __init__(self, seed: frozenset[Formula], tables: Optional[Tables]) -> None:
+        self.seed, self.tables = seed, tables
+        self.members: Optional[tuple[frozenset[Formula], ...]] = None
+
+    def __iter__(self) -> Iterator[frozenset[Formula]]:
+        if self.members is None:
+            return saturations(self.seed, self.tables)
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        if self.members is None:
+            self.members = tuple(saturations(self.seed, self.tables))
+        return len(self.members)
+
+
+def saturation_family(seed: Iterable[Formula], tables: Optional[Tables] = None) -> _Family:
+    """Every saturation of the seed, in the order saturations() yields them.
+
+    Iterating the view draws a fresh `saturations` stream, so a caller
+    that stops early enumerates no further.  `len` enumerates the whole
+    family once and keeps it for every later read.  `tuple` and `list`
+    ask for an iterator before the length, so they enumerate it twice;
+    `tuple(saturations(seed))` builds the family once.  Only the seed's
+    table is shared, through tables, across the calls of one solve.
+    """
+    return _Family(frozenset(seed), tables)
+
+
 def saturation_test(
     seed: Iterable[Formula], tables: Optional[Tables] = None
 ) -> Callable[[Iterable[Formula]], bool]:
-    """The membership test of the seed's family, as a function of a candidate.
+    """`is_saturation_of(candidate, seed)` as a function of the candidate.
 
-    It accepts when seed <= candidate <= csf(seed) and the branch search
-    from seed, restricted to the candidate's members, finishes on it; that
-    search only finishes on clash-free sets no rule applies to.  The seed's
-    closure and table are read from tables, or built once, here.
+    The seed's closure and rule table are read from tables, or built
+    once, here, for all the candidates tested against the same seed.
     """
     seed = frozenset(seed)
     closure, table = _seed_table(seed, tables)
@@ -260,3 +294,14 @@ def saturation_test(
 
     return test
 
+
+def is_saturation_of(candidate: Iterable[Formula], seed: Iterable[Formula]) -> bool:
+    """Decide whether candidate is a saturation of seed.
+
+    Checks the containment bounds seed <= candidate <= csf(seed) and that
+    the branch search from seed, restricted to candidate's members,
+    finishes on it.  That search only finishes on clash-free sets no rule
+    applies to, so neither closedness nor clash-freeness needs a test of
+    its own.
+    """
+    return saturation_test(seed)(candidate)

@@ -12,8 +12,9 @@ functions take its a-box bodies and degree rather than the anchor.  Every
 part is a member set, a frozenset of formulas, as `saturation` yields it.
 
 Both functions are streams, and so is each part's family within them:
-members are drawn from `saturations` one at a time, never past the point
-where the caller stops.  Both take the solve's `saturation.Tables`.
+`saturation_family` is a view whose iteration draws members one at a
+time, never past the point where the caller stops.  Both take the solve's
+`saturation.Tables`.
 
 A continuation shifts the slice one step: a tuple (v1, ..., v(k+1)) that is
 itself a window (with indices shifted) and in which each vi extends the
@@ -27,7 +28,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from .formula import Formula, MOD_B, box_inverse
-from .saturation import Tables, saturation_test, saturations
+from .saturation import Tables, saturation_family, saturation_test
+# windows does not call this; densebench/layers.py wraps it as a windows call site.
+from .saturation import is_saturation_of  # noqa: F401
 
 Parts = tuple[frozenset[Formula], ...]
 
@@ -55,7 +58,7 @@ def initial_windows(
             seed = boxa | box_inverse(suffix[0], MOD_B)
             if i == 0:
                 seed = seed | {body}
-        for cand in saturations(seed, tables):
+        for cand in saturation_family(seed, tables):
             yield from choose(i - 1, (cand,) + suffix)
 
     yield from choose(k, ())
@@ -77,14 +80,14 @@ def continuations(
             yield suffix
             return
         if j == k + 1:
-            for cand in saturations(boxa, tables):
+            for cand in saturation_family(boxa, tables):
                 yield from choose(j - 1, (cand,) + suffix)
             return
         boxb_next = box_inverse(suffix[0], MOD_B)
         chain_seed = boxb_next | parts[j]
         shifted_seed = boxa | boxb_next
         in_shifted = saturation_test(shifted_seed, tables)
-        for cand in saturations(chain_seed, tables):
+        for cand in saturation_family(chain_seed, tables):
             if in_shifted(cand):
                 yield from choose(j - 1, (cand,) + suffix)
 

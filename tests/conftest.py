@@ -1,7 +1,7 @@
 import random
 
 from densemodal import And, Atom, Box, FALSUM, MOD_A, MOD_B, Not, box_inverse, diamond, set_degree
-from window_reference import is_saturation_of
+from densemodal.saturation import is_saturation_of
 from densemodal.windows import initial_windows
 
 

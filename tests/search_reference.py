@@ -19,8 +19,8 @@ from typing import Optional
 import densemodal.windows as _windows
 from densemodal import Box, Formula, MOD_A, MOD_B, Not, SatResult, box_inverse, set_degree, sort_key
 from densemodal.kdeab import Trace, _Search
+from densemodal.saturation import saturations
 from counter_reference import _solve
-from window_reference import saturation_family
 
 
 def _diamond_bodies(members: frozenset[Formula], modality: str) -> list[Formula]:
@@ -44,7 +44,7 @@ class TupleFamilySearch(_Search):
     def first(self, seed: frozenset[Formula], depth: int) -> Optional[Trace]:
         """The former loop: build the seed's family whole, count all of it,
         then try its members in order."""
-        fam = saturation_family(seed, self.tables)
+        fam = tuple(saturations(seed, self.tables))
         self.stats["saturations"] += len(fam)
         for cand in fam:
             trace = self.sat_members(cand, depth)

@@ -42,9 +42,9 @@ from densemodal import (
 )
 from densemodal.errors import InvariantError
 from densemodal.kde import frame_model
+from densemodal.saturation import is_saturation_of, saturation_family
 from conftest import is_window, random_formula
 from counter_reference import CounterSearch, reference_sat_set
-from window_reference import is_saturation_of, saturation_family
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -287,7 +287,7 @@ def test_criterion_07_saturation_algebra():
                 if not any(w1 | s == w for s in saturation_family(u)):
                     violated(3, case)
         for w in saturation_family(uv):
-            fu, fv = saturation_family(u), saturation_family(v)
+            fu, fv = tuple(saturation_family(u)), tuple(saturation_family(v))
             if not any(a | b == w for a in fu for b in fv):
                 violated(2, (u, v, None, w))
     total = sum(violations.values())
@@ -329,7 +329,7 @@ def test_criterion_09_bound_policy_agreement(kdeab_corpus):
     # sat_set decides exactly it.
     worked = frozenset({Box(MOD_A, Atom("q")), Not(Box(MOD_A, Atom("p")))})
     worked_ok = (
-        saturation_family(worked) == (worked,)
+        tuple(saturation_family(worked)) == (worked,)
         and sat_set(worked).verdict == SAT
         and CounterSearch().sat_members(worked, 0) is not None
     )

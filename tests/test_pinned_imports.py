@@ -1,10 +1,11 @@
-"""No module of the package imports a name it never reads.
+"""Imports a module keeps only for the benchmark's tracer.
 
-densebench/layers.py once wrapped functions by module attribute, so some
-modules kept imports they never called, for the tracer to find.  Those
-imports are gone, and this test reads every module of the package as
-source and checks that none has come back: an import a module does not
-read is dead code, whatever it was kept for.
+densebench/layers.py wraps functions by module attribute, so a module
+keeps some imports it never calls, marked `noqa: F401`, for the tracer to
+find.  This test reads `install` and every module of the package as
+source, and checks that each import a module never uses is one that
+`install` wraps on that module, so a pinned import cannot outlive its wrap
+and a stray import cannot pass as a pinned one.
 """
 
 import ast
@@ -12,6 +13,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "densemodal"
+LAYERS = ROOT / "densebench" / "layers.py"
+
+
+def wrapped_names() -> set[tuple[str, str]]:
+    """(module, attribute) for every wrap in layers.install on a module of
+    the program, read from `m, ... = prog.m, ...` and `wrap(m, "name", ...)`."""
+    tree = ast.parse(LAYERS.read_text(encoding="utf-8"))
+    (install,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "install"]
+    modules = {}
+    for node in ast.walk(install):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            for target, value in zip(node.targets[0].elts, node.value.elts):
+                if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                    if value.value.id == "prog":
+                        modules[target.id] = value.attr
+    wrapped = set()
+    for node in ast.walk(install):
+        if not isinstance(node, ast.Call) or len(node.args) < 2:
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner, attr = node.args[:2]
+        if name in ("wrap", "wrap_generator") and isinstance(owner, ast.Name) and owner.id in modules:
+            wrapped.add((modules[owner.id], attr.value))
+    return wrapped
 
 
 def unused_imports(path: Path) -> set[str]:
@@ -27,17 +53,18 @@ def unused_imports(path: Path) -> set[str]:
     return imported - used
 
 
-def test_no_module_imports_a_name_it_never_reads():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert {"cli", "kdeab", "saturation", "windows"} <= {path.stem for path in modules}
+def test_every_unused_import_is_wrapped_on_its_module():
+    wrapped = wrapped_names()
     unused = {
         (path.stem, name)
-        for path in modules
+        for path in sorted(PACKAGE.glob("*.py"))
         # The package's imports are its public surface.
         if path.name != "__init__.py"
         for name in unused_imports(path)
     }
-    assert unused == set()
+    assert ("windows", "is_saturation_of") in unused
+    assert {"cli", "kdeab", "windows"} <= {module for module, _ in unused}
+    assert unused - wrapped == set()
 
 
 def test_a_stray_import_is_caught(tmp_path):
@@ -45,8 +72,9 @@ def test_a_stray_import_is_caught(tmp_path):
     module.write_text(
         "from .oracle import model_check, verify  # noqa: F401\n"
         "from .formula import sf\n"
-        "import densemodal.windows as _windows\n"
         "verify\n",
         encoding="utf-8",
     )
-    assert unused_imports(module) == {"model_check", "sf", "_windows"}
+    assert unused_imports(module) == {"model_check", "sf"}
+    assert ("kdeab", "model_check") in wrapped_names()
+    assert ("kdeab", "sf") not in wrapped_names()

@@ -23,6 +23,8 @@ INTERNALS = (
     "profiles",
     "refine_frame",
     "saturations",
+    "saturation_family",
+    "is_saturation_of",
     "initial_windows",
     "continuations",
     "Trace",

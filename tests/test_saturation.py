@@ -19,10 +19,14 @@ from densemodal import (
     sort_key,
 )
 from densemodal import kdeab, saturation, windows
-from densemodal.saturation import saturation_test, saturations
+from densemodal.saturation import (
+    is_saturation_of,
+    saturation_family,
+    saturation_test,
+    saturations,
+)
 from conftest import random_formula
 import rule_reference as reference
-from window_reference import is_saturation_of, saturation_family
 
 P, Q = Atom("p"), Atom("q")
 
@@ -217,7 +221,7 @@ class TestReference:
         every set one member away from one.  With by_family, membership
         is checked against the reference's family instead of its
         membership test, whose search costs seconds per ladder seed."""
-        family = saturation_family(seed)
+        family = tuple(saturation_family(seed))
         assert family == tuple(reference.saturation_family(seed)), seed
         universe = csf(seed)
         for members in family:
@@ -284,7 +288,7 @@ class TestReference:
             return new(cls, child)
 
         monkeypatch.setattr(Not, "__new__", counting)
-        family = saturation_family(seed)
+        family = tuple(saturations(seed))
         monkeypatch.undo()
         assert len(family) == 32
         assert built <= bound, f"{built} Not nodes built"
@@ -385,8 +389,8 @@ class TestWork:
         # Every family and membership test of one solve reads its seed's
         # table from the solve's dict: each distinct seed's table is built
         # once, though the solve asks for the tables many more times.  The
-        # search and the windows module both ask through saturation
-        # streams, the windows module also through membership tests.
+        # search asks through its saturation streams, the windows module
+        # through its families and membership tests.
         built = []
         build = saturation._table
 
@@ -408,7 +412,7 @@ class TestWork:
 
         monkeypatch.setattr(saturation, "_table", recording)
         counting(kdeab, "saturations")
-        counting(windows, "saturations")
+        counting(windows, "saturation_family")
         counting(windows, "saturation_test")
         result = sat_set({parse("<a>(p & q) & [a]<b>r", "bimodal")})
         assert result.stats == {"max_depth": 2, "saturations": 2, "windows": 3}
@@ -429,17 +433,30 @@ class TestWork:
         )
         monkeypatch.undo()
         visits, family = self._visits(
-            monkeypatch, lambda: list(saturation_family(seed))
+            monkeypatch, lambda: list(saturations(seed))
         )
         assert family == family_before and len(family) == 1
         assert visits_before == 13201
         assert visits <= 2 * len(closure) < visits_before, visits
 
+    def test_family_view_reads_no_further_than_asked(self, monkeypatch):
+        # Iterating the view draws one member at a time; len reads the
+        # whole family once, and later reads reuse what it kept.
+        seed = frozenset({parse(_ladder(6), "bimodal")})
+        view = saturation_family(seed)
+        first, _ = self._visits(monkeypatch, lambda: next(iter(view)))
+        monkeypatch.undo()
+        whole, size = self._visits(monkeypatch, lambda: len(view))
+        monkeypatch.undo()
+        again, members = self._visits(monkeypatch, lambda: tuple(view))
+        assert size == 64 and members == tuple(saturations(seed))
+        assert (first, whole, again) == (23, 346, 0)
+
     def test_six_clause_ladder_visits_few_sets(self, monkeypatch):
         # 64 saturations; every interleaving is 48,210 sets.
         ladder = " & ".join(f"(p{i} | q{i})" for i in range(6))
         seed = frozenset({parse(ladder, "bimodal")})
-        visits, family = self._visits(monkeypatch, lambda: saturation_family(seed))
+        visits, family = self._visits(monkeypatch, lambda: tuple(saturations(seed)))
         assert len(family) == 64
         assert visits <= 400, visits
 

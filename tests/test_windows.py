@@ -18,12 +18,10 @@ from densemodal import (
     sort_key,
 )
 from densemodal import windows as windows_module
-from densemodal.saturation import saturations
+from densemodal.saturation import is_saturation_of, saturations
 from densemodal.windows import continuations
 from conftest import anchor_windows, chained_formula, is_window, random_formula
 import rule_reference as reference
-import window_reference
-from window_reference import is_saturation_of
 
 P, Q = Atom("p"), Atom("q")
 
@@ -237,13 +235,18 @@ class TestEveryContinuation:
         assert len(seen) == 8
 
 
+def tuple_family(seed, tables=None):
+    """The family as the windows module used to read it: the whole stream
+    as a tuple, built before its first member is tried."""
+    return tuple(saturations(seed, tables))
+
+
 class TestStreamsAgainstTupleFamilies:
     """`initial_windows` and `continuations`, which draw each part's family
-    as a stream, against their former versions in tests/window_reference.py,
-    which built each family whole as a tuple.  Every call sat_set makes is
-    recorded with the windows it drew; run to exhaustion on fresh tables,
-    the reference yields the same windows in the same order as the stream,
-    and sat_set drew a prefix of them."""
+    as a stream, against the same functions reading every family as a
+    tuple.  Every call sat_set makes is recorded with the windows it drew;
+    run to exhaustion on fresh tables, both yield the same windows in the
+    same order, and sat_set drew a prefix of them."""
 
     @staticmethod
     def recorded_calls(monkeypatch, formulas):
@@ -251,9 +254,9 @@ class TestStreamsAgainstTupleFamilies:
         for name in ("initial_windows", "continuations"):
             real = getattr(windows_module, name)
 
-            def recording(*args, real=real, name=name):
+            def recording(*args, real=real):
                 drawn = []
-                calls.append((real, getattr(window_reference, name), args[:-1], drawn))
+                calls.append((real, args[:-1], drawn))
                 for parts in real(*args):
                     drawn.append(parts)
                     yield parts
@@ -265,9 +268,12 @@ class TestStreamsAgainstTupleFamilies:
 
     def check(self, monkeypatch, formulas) -> int:
         calls = self.recorded_calls(monkeypatch, formulas)
-        for stream, former, args, drawn in calls:
-            want = list(former(*args, {}))
-            assert list(stream(*args, {})) == want, args
+        for real, args, drawn in calls:
+            got = list(real(*args, {}))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(windows_module, "saturation_family", tuple_family)
+                want = list(real(*args, {}))
+            assert got == want, args
             assert drawn == want[: len(drawn)], args
         return len(calls)
 
